@@ -49,4 +49,4 @@ pub use request::{
     fold_digest, DegradeLevel, ModelKey, Rejected, Ticket, TuneRequest, TuneResponse, WorkloadSpec,
 };
 pub use rig::{race_to_halt_answer, LowerCache, Rig};
-pub use server::{live_workers, shard_for, AutoServer, ServerStats};
+pub use server::{shard_for, AutoServer, LiveWorkers, ServerStats};

@@ -57,29 +57,34 @@ const LOWER_CACHE_CAPACITY: usize = 16;
 /// Degraded-ladder rigs (stale/sibling) each worker keeps around.
 const FALLBACK_CACHE_CAPACITY: usize = 8;
 
-/// Workers alive across every server in the process; the shutdown
-/// tests assert this returns to its baseline (no leaked threads).
-static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+/// One server's count of live shard worker threads.  Every server has
+/// its own, so a test can assert its server drained every worker at
+/// shutdown without another server's workers disturbing the count.
+#[derive(Debug, Clone, Default)]
+pub struct LiveWorkers(Arc<AtomicUsize>);
 
-/// Shard worker threads currently alive in this process.
-pub fn live_workers() -> usize {
-    LIVE_WORKERS.load(Ordering::SeqCst)
+impl LiveWorkers {
+    /// Shard worker threads of this server currently alive.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
+    }
 }
 
-/// RAII live-worker accounting: the count drops even if a worker dies
+/// RAII live-worker accounting, taken when a worker is spawned and
+/// dropped when its thread exits: the count drops even if a worker dies
 /// by panic, so a wedged test sees the truth.
-struct LiveGuard;
+struct LiveGuard(Arc<AtomicUsize>);
 
 impl LiveGuard {
-    fn enter() -> LiveGuard {
-        LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-        LiveGuard
+    fn enter(live: &LiveWorkers) -> LiveGuard {
+        live.0.fetch_add(1, Ordering::SeqCst);
+        LiveGuard(Arc::clone(&live.0))
     }
 }
 
 impl Drop for LiveGuard {
     fn drop(&mut self) {
-        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -207,6 +212,7 @@ struct ShardCtx {
     shard: usize,
     rx: Arc<Receiver<Job>>,
     health: Arc<ShardHealth>,
+    live: LiveWorkers,
     faults: Option<FaultConfig>,
     chaos: Option<ChaosConfig>,
     breaker_cfg: BreakerConfig,
@@ -219,9 +225,13 @@ type Registry = Arc<Mutex<Vec<JoinHandle<ShardReport>>>>;
 
 fn spawn_worker(ctx: ShardCtx, registry: &Registry) {
     let name = format!("autoserve-shard-{}", ctx.shard);
+    let live = LiveGuard::enter(&ctx.live);
     let handle = std::thread::Builder::new()
         .name(name)
-        .spawn(move || worker_loop(ctx))
+        .spawn(move || {
+            let _live = live;
+            worker_loop(ctx)
+        })
         .expect("spawning a shard worker thread");
     registry.lock().expect("worker registry lock").push(handle);
 }
@@ -251,6 +261,7 @@ pub struct AutoServer {
     stop: Arc<AtomicBool>,
     faults: Option<FaultConfig>,
     rejected: AtomicUsize,
+    live: LiveWorkers,
 }
 
 impl AutoServer {
@@ -260,6 +271,7 @@ impl AutoServer {
         let shards = cfg.shards.max(1);
         let registry: Registry = Arc::new(Mutex::new(Vec::with_capacity(shards)));
         let stop = Arc::new(AtomicBool::new(false));
+        let live = LiveWorkers::default();
         let mut senders = Vec::with_capacity(shards);
         let mut ctxs = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -269,6 +281,7 @@ impl AutoServer {
                 shard,
                 rx: Arc::new(rx),
                 health: Arc::new(ShardHealth::default()),
+                live: live.clone(),
                 faults: cfg.faults,
                 chaos: cfg.chaos,
                 breaker_cfg: cfg.breaker,
@@ -297,6 +310,7 @@ impl AutoServer {
             stop,
             faults: cfg.faults,
             rejected: AtomicUsize::new(0),
+            live,
         }
     }
 
@@ -334,6 +348,13 @@ impl AutoServer {
     /// How many shards this server runs.
     pub fn shards(&self) -> usize {
         self.senders.len()
+    }
+
+    /// This server's live shard-worker count.  The handle outlives the
+    /// server, so it can confirm that [`AutoServer::shutdown`] joined
+    /// every worker (the count is then zero).
+    pub fn live_workers(&self) -> LiveWorkers {
+        self.live.clone()
     }
 
     /// Drains and stops the server: stops the supervisor, closes the
@@ -445,7 +466,6 @@ fn supervise(
 }
 
 fn worker_loop(ctx: ShardCtx) -> ShardReport {
-    let _live = LiveGuard::enter();
     let mut death = DeathGuard { health: Arc::clone(&ctx.health), armed: true };
     let injector = ctx.chaos.map(|c| c.injector());
     let mut cache = ModelCache::new(ctx.cache_capacity, ctx.cache_dir.clone());
@@ -723,8 +743,9 @@ mod tests {
 
     #[test]
     fn serves_and_shuts_down_without_leaking_workers() {
-        let before = live_workers();
         let server = AutoServer::start(tiny_config(2, 64));
+        let live = server.live_workers();
+        assert_eq!(live.get(), 2, "one live worker per shard");
         let tickets: Vec<Ticket> =
             (0..16).map(|i| server.submit(request(i % 2, 1e8)).expect("queue has room")).collect();
         for t in tickets {
@@ -740,7 +761,7 @@ mod tests {
         assert_eq!(stats.worker_deaths, 0);
         assert_eq!(stats.caught_panics, 0);
         // The PR 2 pool-reuse pattern: shutdown drains every worker.
-        assert_eq!(live_workers(), before, "no leaked shard workers");
+        assert_eq!(live.get(), 0, "no leaked shard workers");
     }
 
     #[test]
@@ -816,10 +837,10 @@ mod tests {
         // Satellite (a): the dangling-reply regression.  A panic inside
         // request processing must answer the client with the typed
         // `WorkerFailed` — not hang the ticket, not kill the worker.
-        let before = live_workers();
         let mut cfg = tiny_config(1, 32);
         cfg.chaos = chaos_only(ChaosRates { worker_panic: 1.0, ..ChaosRates::off() });
         let server = AutoServer::start(cfg);
+        let live = server.live_workers();
         let tickets: Vec<Ticket> =
             (0..4).map(|i| server.submit(request(i, 1e8)).expect("queue has room")).collect();
         for t in tickets {
@@ -831,7 +852,7 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.caught_panics, 4, "every job's panic was contained");
         assert_eq!(stats.worker_deaths, 0, "caught panics never kill the worker");
-        assert_eq!(live_workers(), before);
+        assert_eq!(live.get(), 0);
     }
 
     #[test]
@@ -840,11 +861,11 @@ mod tests {
         // sees the typed `WorkerFailed` (dropped reply slot), and a
         // deterministic retry (attempt 1) gets a real answer from the
         // respawned shard.
-        let before = live_workers();
         let mut cfg = tiny_config(1, 32);
         cfg.chaos = chaos_only(ChaosRates { worker_abort: 1.0, ..ChaosRates::off() });
         cfg.supervision.poll_ms = 1;
         let server = AutoServer::start(cfg);
+        let live = server.live_workers();
         let tickets: Vec<Ticket> =
             (0..3).map(|i| server.submit(request(i, 1e8)).expect("queue has room")).collect();
         for t in tickets {
@@ -870,7 +891,7 @@ mod tests {
         assert!(stats.worker_deaths >= 1, "an abort killed a worker: {stats:?}");
         assert!(stats.respawns >= 1, "supervisor/shutdown respawned the shard: {stats:?}");
         assert_eq!(stats.served, 3, "the respawned shard served every retry: {stats:?}");
-        assert_eq!(live_workers(), before, "respawns don't leak threads");
+        assert_eq!(live.get(), 0, "respawns don't leak threads");
     }
 
     #[test]
@@ -878,7 +899,6 @@ mod tests {
         // First attempts stall for ~400ms each with batch_max = 1, so
         // queued work is visible while the heartbeat stagnates; the
         // supervisor must add a helper and everything still completes.
-        let before = live_workers();
         let mut cfg = tiny_config(1, 32);
         cfg.batch_max = 1;
         cfg.chaos =
@@ -886,6 +906,7 @@ mod tests {
         cfg.supervision.poll_ms = 1;
         cfg.supervision.stall_timeout_ms = 30;
         let server = AutoServer::start(cfg);
+        let live = server.live_workers();
         let tickets: Vec<Ticket> =
             (0..3).map(|i| server.submit(request(i, 1e8)).expect("queue has room")).collect();
         for t in tickets {
@@ -896,7 +917,7 @@ mod tests {
         assert!(stats.stall_respawns >= 1, "stall helper was added: {stats:?}");
         assert!(stats.stall_respawns <= 2, "helper budget is bounded: {stats:?}");
         assert!(stats.chaos_stalls >= 3);
-        assert_eq!(live_workers(), before, "helpers drain out at shutdown");
+        assert_eq!(live.get(), 0, "helpers drain out at shutdown");
     }
 
     #[test]

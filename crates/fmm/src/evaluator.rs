@@ -239,9 +239,10 @@ impl<K: Kernel> FmmPlan<K> {
         let lists = InteractionLists::build(&tree);
         // The dense M2L matrices are only built for the dense method; the
         // FFT method precomputes kernel spectra instead.
-        let ops = OperatorCache::build_for_method(&kernel, &tree, p, method == M2lMethod::Dense);
+        let ops =
+            OperatorCache::build_for_method(&kernel, &tree, &lists, p, method == M2lMethod::Dense);
         let fft = match method {
-            M2lMethod::Fft => Some(FftM2l::build(&kernel, &tree, p)),
+            M2lMethod::Fft => Some(FftM2l::build_with_lists(&kernel, &tree, &lists, p)),
             M2lMethod::Dense => None,
         };
         let soa = SoaSources::from_points(&tree.points, &tree.densities);

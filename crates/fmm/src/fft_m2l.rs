@@ -16,13 +16,13 @@
 //! the compute-bound U list.
 
 use crate::kernel::Kernel;
+use crate::lists::{v_offset_code, InteractionLists, V_OFFSET_CODES};
 use crate::operators::Offset;
 use crate::surface::{surface_lattice_coords, RADIUS_INNER};
 use crate::tree::Octree;
+use compat::par;
 use dvfs_fft::{fft3_inplace, ifft3_inplace, Complex, FftPlan, Spectrum3};
 
-/// Offsets realized by V lists lie in `[-3, 3]³` — 343 codes per level.
-const OFFSET_CODES: usize = 7 * 7 * 7;
 /// Sentinel for "no spectrum" in the dense index.
 const NO_SPECTRUM: u32 = u32::MAX;
 
@@ -84,43 +84,44 @@ pub struct FftM2l {
     /// Dense `level → offset-code → handle` table.  The V accumulate
     /// runs once per (target, source) pair, so the lookup must be two
     /// array indexes, not a hash.
-    index: Vec<[u32; OFFSET_CODES]>,
+    index: Vec<[u32; V_OFFSET_CODES]>,
 }
 
 impl FftM2l {
     /// Builds kernel-tableau spectra for every (level, offset) realized
-    /// by the tree's V lists.
+    /// by the tree's V lists, building the lists first.
     pub fn build<K: Kernel>(kernel: &K, tree: &Octree, p: usize) -> Self {
+        Self::build_with_lists(kernel, tree, &InteractionLists::build(tree), p)
+    }
+
+    /// Like [`FftM2l::build`], for the tree's already-built `lists`.
+    ///
+    /// The keys are collected serially in first-occurrence order
+    /// ([`InteractionLists::v_offsets`]) and their spectra computed on
+    /// the pool by an order-preserving map, so the arena is identical
+    /// at any thread count.
+    pub fn build_with_lists<K: Kernel>(
+        kernel: &K,
+        tree: &Octree,
+        lists: &InteractionLists,
+        p: usize,
+    ) -> Self {
         assert!(p.is_power_of_two() && p >= 2, "surface order must be a power of two");
         let m = 2 * p;
         let plan = FftPlan::new(m).expect("m = 2p is a power of two");
         let coords = surface_lattice_coords(p);
-        let mut spectra: Vec<SplitSpectrum> = Vec::new();
-        let mut keys: Vec<(u8, Offset)> = Vec::new();
-        let mut index: Vec<[u32; OFFSET_CODES]> =
-            vec![[NO_SPECTRUM; OFFSET_CODES]; tree.depth() as usize + 1];
         let root_hw = tree.nodes[0].half_width;
-        let lists = crate::lists::InteractionLists::build(tree);
-        for (ti, vl) in lists.v.iter().enumerate() {
-            let tid = tree.nodes[ti].id;
-            for &si in vl {
-                let sid = tree.nodes[si].id;
-                let off = (
-                    sid.x as i32 - tid.x as i32,
-                    sid.y as i32 - tid.y as i32,
-                    sid.z as i32 - tid.z as i32,
-                );
-                let code = Self::offset_code(off).expect("V offsets lie in [-3, 3]³");
-                let slot = &mut index[tid.level as usize][code];
-                if *slot == NO_SPECTRUM {
-                    let hw = root_hw / (1u64 << tid.level) as f64;
-                    let tableau = Self::kernel_tableau(kernel, p, m, hw, off);
-                    let spec = Spectrum3::new(&tableau, m, &plan).expect("tableau spectrum");
-                    *slot = spectra.len() as u32;
-                    spectra.push(SplitSpectrum::from_complex(spec.as_slice(), m));
-                    keys.push((tid.level, off));
-                }
-            }
+        let keys = lists.v_offsets(tree);
+        let spectra = par::par_map_vec(keys.clone(), &|(level, off): (u8, Offset)| {
+            let hw = root_hw / (1u64 << level) as f64;
+            let tableau = Self::kernel_tableau(kernel, p, m, hw, off);
+            let spec = Spectrum3::new(&tableau, m, &plan).expect("tableau spectrum");
+            SplitSpectrum::from_complex(spec.as_slice(), m)
+        });
+        let mut index = vec![[NO_SPECTRUM; V_OFFSET_CODES]; tree.depth() as usize + 1];
+        for (handle, &(level, off)) in keys.iter().enumerate() {
+            let code = v_offset_code(off).expect("V offsets lie in [-3, 3]³");
+            index[level as usize][code] = handle as u32;
         }
         FftM2l { p, m, plan, coords, spectra, keys, index }
     }
@@ -131,21 +132,10 @@ impl FftM2l {
         &self.keys
     }
 
-    /// Packs an offset into its dense code, or `None` when outside the
-    /// `[-3, 3]³` range any V list can realize.
-    #[inline]
-    fn offset_code(off: Offset) -> Option<usize> {
-        let (x, y, z) = off;
-        if !(-3..=3).contains(&x) || !(-3..=3).contains(&y) || !(-3..=3).contains(&z) {
-            return None;
-        }
-        Some((((x + 3) * 7 + (y + 3)) * 7 + (z + 3)) as usize)
-    }
-
     /// Resolves a `(level, offset)` key to its spectrum, if realized.
     #[inline]
     fn lookup(&self, level: u8, off: Offset) -> Option<&SplitSpectrum> {
-        let code = Self::offset_code(off)?;
+        let code = v_offset_code(off)?;
         let row = self.index.get(level as usize)?;
         let h = row[code];
         if h == NO_SPECTRUM {

@@ -13,8 +13,23 @@
 //! * **X(B)**: the dual of W — leaves `C` with `B ∈ W(C)`; `C`'s source
 //!   points are evaluated onto `B`'s downward-check surface.
 
+use crate::operators::Offset;
 use crate::tree::Octree;
 use compat::par;
+
+/// V-list offsets lie in `[-3, 3]³` — 343 codes per level.
+pub(crate) const V_OFFSET_CODES: usize = 7 * 7 * 7;
+
+/// Packs a same-level offset into its dense code, or `None` when outside
+/// the `[-3, 3]³` range any V list can realize.
+#[inline]
+pub(crate) fn v_offset_code(off: Offset) -> Option<usize> {
+    let (x, y, z) = off;
+    if !(-3..=3).contains(&x) || !(-3..=3).contains(&y) || !(-3..=3).contains(&z) {
+        return None;
+    }
+    Some((((x + 3) * 7 + (y + 3)) * 7 + (z + 3)) as usize)
+}
 
 /// The four interaction lists for every node of a tree.
 #[derive(Debug, Clone)]
@@ -104,6 +119,32 @@ impl InteractionLists {
     /// Total number of V translations.
     pub fn v_pair_count(&self) -> usize {
         self.v.iter().map(|l| l.len()).sum()
+    }
+
+    /// Every distinct `(target level, source offset)` the V lists
+    /// realize, in order of first occurrence over targets and their V
+    /// lists — the set of M2L operators a plan must precompute.
+    pub fn v_offsets(&self, tree: &Octree) -> Vec<(u8, Offset)> {
+        let mut seen = vec![[false; V_OFFSET_CODES]; tree.depth() as usize + 1];
+        let mut keys = Vec::new();
+        for (ti, vl) in self.v.iter().enumerate() {
+            let tid = tree.nodes[ti].id;
+            for &si in vl {
+                let sid = tree.nodes[si].id;
+                let off = (
+                    sid.x as i32 - tid.x as i32,
+                    sid.y as i32 - tid.y as i32,
+                    sid.z as i32 - tid.z as i32,
+                );
+                let code = v_offset_code(off).expect("V offsets lie in [-3, 3]³");
+                let slot = &mut seen[tid.level as usize][code];
+                if !*slot {
+                    *slot = true;
+                    keys.push((tid.level, off));
+                }
+            }
+        }
+        keys
     }
 }
 

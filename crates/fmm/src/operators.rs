@@ -16,13 +16,18 @@
 //!   potentials for a same-level box offset.
 //!
 //! Operators depend only on (level, relative geometry), never on absolute
-//! centers, so one cache serves the whole tree.  The cache is built
-//! single-threaded at plan time and read-only during the rayon-parallel
-//! evaluation.
+//! centers, so one cache serves the whole tree.  The cache is built at
+//! plan time on the [`compat::par`] pool — first every level's UC2E/DC2E
+//! solve, then the M2M/L2L products that consume them, then the dense
+//! M2L set — each stage an order-preserving map of pure per-operator
+//! jobs, so the cache is bitwise identical at any thread count.  It is
+//! read-only during evaluation.
 
 use crate::kernel::Kernel;
+use crate::lists::InteractionLists;
 use crate::surface::{surface_points, RADIUS_INNER, RADIUS_OUTER};
 use crate::tree::Octree;
+use compat::par;
 use dvfs_linalg::{pseudo_inverse, Matrix};
 use std::collections::HashMap;
 
@@ -33,10 +38,14 @@ pub type Offset = (i32, i32, i32);
 pub struct OperatorCache {
     /// Surface order (nodes per cube edge).
     pub p: usize,
-    uc2e: HashMap<u8, Matrix>,
-    dc2e: HashMap<u8, Matrix>,
-    m2m: HashMap<(u8, usize), Matrix>,
-    l2l: HashMap<(u8, usize), Matrix>,
+    /// `UC2E(l)` at index `l`.
+    uc2e: Vec<Matrix>,
+    /// `DC2E(l)` at index `l`.
+    dc2e: Vec<Matrix>,
+    /// `M2M(l, octant)` at index `8 (l − 1) + octant`.
+    m2m: Vec<Matrix>,
+    /// `L2L(l, octant)` at index `8 (l − 1) + octant`.
+    l2l: Vec<Matrix>,
     m2l: HashMap<(u8, Offset), Matrix>,
 }
 
@@ -47,70 +56,57 @@ impl OperatorCache {
     /// Builds every operator the tree's lists will need, including the
     /// dense M2L matrices.
     pub fn build<K: Kernel>(kernel: &K, tree: &Octree, p: usize) -> Self {
-        Self::build_for_method(kernel, tree, p, true)
+        Self::build_for_method(kernel, tree, &InteractionLists::build(tree), p, true)
     }
 
-    /// Builds the tree-pass operators, and the dense M2L set only when
-    /// `include_m2l` is set — FFT-method plans never touch the dense
-    /// matrices, and for large trees they dominate both the precompute
-    /// time and the memory footprint (hundreds of MB at p = 8).
+    /// Builds the tree-pass operators, and the dense M2L set for the
+    /// offsets `lists` realize only when `include_m2l` is set — FFT-method
+    /// plans never touch the dense matrices, and for large trees they
+    /// dominate both the precompute time and the memory footprint
+    /// (hundreds of MB at p = 8).
     pub fn build_for_method<K: Kernel>(
         kernel: &K,
         tree: &Octree,
+        lists: &InteractionLists,
         p: usize,
         include_m2l: bool,
     ) -> Self {
-        let mut cache = OperatorCache {
-            p,
-            uc2e: HashMap::new(),
-            dc2e: HashMap::new(),
-            m2m: HashMap::new(),
-            l2l: HashMap::new(),
-            m2l: HashMap::new(),
-        };
         let root_hw = tree.nodes[0].half_width;
-        let depth = tree.depth();
-        for level in 0..=depth {
-            let hw = root_hw / (1u64 << level) as f64;
-            cache.uc2e.insert(level, Self::make_uc2e(kernel, p, hw));
-            cache.dc2e.insert(level, Self::make_dc2e(kernel, p, hw));
-            if level > 0 {
-                let parent_uc2e = cache.uc2e[&(level - 1)].clone();
-                let child_dc2e = cache.dc2e[&level].clone();
-                for octant in 0..8 {
-                    cache.m2m.insert(
-                        (level, octant),
-                        Self::make_m2m(kernel, p, hw, octant, &parent_uc2e),
-                    );
-                    cache.l2l.insert(
-                        (level, octant),
-                        Self::make_l2l(kernel, p, hw, octant, &child_dc2e),
-                    );
-                }
+        let level_hw = |level: usize| root_hw / (1u64 << level) as f64;
+        let levels = tree.depth() as usize + 1;
+        // Jobs `0..levels` are UC2E by level, the next `levels` DC2E.
+        let mut uc2e = par::par_map_vec((0..2 * levels).collect(), &|job: usize| {
+            let hw = level_hw(job % levels);
+            if job < levels {
+                Self::make_uc2e(kernel, p, hw)
+            } else {
+                Self::make_dc2e(kernel, p, hw)
             }
-        }
+        });
+        let dc2e = uc2e.split_off(levels);
+        // Jobs `8 (l − 1) + octant` are M2M(l, octant) for child levels
+        // `l ≥ 1`, the next `children` the matching L2L.
+        let children = 8 * (levels - 1);
+        let mut m2m = par::par_map_vec((0..2 * children).collect(), &|job: usize| {
+            let slot = job % children;
+            let (level, octant) = (1 + slot / 8, slot % 8);
+            if job < children {
+                Self::make_m2m(kernel, p, level_hw(level), octant, &uc2e[level - 1])
+            } else {
+                Self::make_l2l(kernel, p, level_hw(level), octant, &dc2e[level])
+            }
+        });
+        let l2l = m2m.split_off(children);
         // M2L operators for every (level, offset) the V lists realize.
-        if !include_m2l {
-            return cache;
+        let mut m2l = HashMap::new();
+        if include_m2l {
+            let keys = lists.v_offsets(tree);
+            let ops = par::par_map_vec(keys.clone(), &|(level, off): (u8, Offset)| {
+                Self::make_m2l(kernel, p, level_hw(level as usize), off)
+            });
+            m2l.extend(keys.into_iter().zip(ops));
         }
-        let lists = crate::lists::InteractionLists::build(tree);
-        for (ti, vl) in lists.v.iter().enumerate() {
-            let tid = tree.nodes[ti].id;
-            for &si in vl {
-                let sid = tree.nodes[si].id;
-                let off = (
-                    sid.x as i32 - tid.x as i32,
-                    sid.y as i32 - tid.y as i32,
-                    sid.z as i32 - tid.z as i32,
-                );
-                let hw = root_hw / (1u64 << tid.level) as f64;
-                cache
-                    .m2l
-                    .entry((tid.level, off))
-                    .or_insert_with(|| Self::make_m2l(kernel, p, hw, off));
-            }
-        }
-        cache
+        OperatorCache { p, uc2e, dc2e, m2m, l2l, m2l }
     }
 
     fn make_uc2e<K: Kernel>(kernel: &K, p: usize, hw: f64) -> Matrix {
@@ -181,22 +177,27 @@ impl OperatorCache {
 
     /// The upward check-to-equivalent solve at `level`.
     pub fn uc2e(&self, level: u8) -> &Matrix {
-        &self.uc2e[&level]
+        &self.uc2e[level as usize]
     }
 
     /// The downward check-to-equivalent solve at `level`.
     pub fn dc2e(&self, level: u8) -> &Matrix {
-        &self.dc2e[&level]
+        &self.dc2e[level as usize]
     }
 
-    /// M2M for a child at `child_level` in `octant`.
+    /// M2M for a child at `child_level` (at least 1) in `octant`.
     pub fn m2m(&self, child_level: u8, octant: usize) -> &Matrix {
-        &self.m2m[&(child_level, octant)]
+        &self.m2m[Self::child_slot(child_level, octant)]
     }
 
-    /// L2L for a child at `child_level` in `octant`.
+    /// L2L for a child at `child_level` (at least 1) in `octant`.
     pub fn l2l(&self, child_level: u8, octant: usize) -> &Matrix {
-        &self.l2l[&(child_level, octant)]
+        &self.l2l[Self::child_slot(child_level, octant)]
+    }
+
+    fn child_slot(child_level: u8, octant: usize) -> usize {
+        assert!(child_level >= 1 && octant < 8, "no child operator at ({child_level}, {octant})");
+        8 * (child_level as usize - 1) + octant
     }
 
     /// Dense M2L for a same-level offset, if realized by the tree.

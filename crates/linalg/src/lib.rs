@@ -48,6 +48,8 @@ pub enum LinalgError {
     NotPositiveDefinite { pivot: usize },
     /// An iterative routine failed to converge within its iteration budget.
     NoConvergence { routine: &'static str, iterations: usize },
+    /// The input holds an `inf` or `NaN` entry.
+    NonFinite(&'static str),
 }
 
 impl std::fmt::Display for LinalgError {
@@ -65,6 +67,7 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NoConvergence { routine, iterations } => {
                 write!(f, "{routine}: no convergence after {iterations} iterations")
             }
+            LinalgError::NonFinite(ctx) => write!(f, "{ctx}: input has a non-finite entry"),
         }
     }
 }
@@ -78,6 +81,7 @@ impl From<LinalgError> for compat::error::PipelineError {
             LinalgError::Singular(ctx) => *ctx,
             LinalgError::NotPositiveDefinite { .. } => "cholesky",
             LinalgError::NoConvergence { routine, .. } => *routine,
+            LinalgError::NonFinite(ctx) => *ctx,
         };
         compat::error::PipelineError::Numeric {
             routine: routine.to_string(),
@@ -149,5 +153,6 @@ mod tests {
         assert!(e.to_string().contains("svd"));
         let e = LinalgError::ShapeMismatch { context: "matmul", expected: (2, 3), found: (4, 5) };
         assert!(e.to_string().contains("2x3"));
+        assert!(LinalgError::NonFinite("svd").to_string().contains("non-finite"));
     }
 }

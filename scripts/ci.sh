@@ -41,17 +41,17 @@ echo "==> cargo test -q --offline (FMM_ENERGY_FAULTS=default)"
 # `faults: None` explicitly and are unaffected.
 FMM_ENERGY_FAULTS=default cargo test -q --offline --workspace
 
-echo "==> panic-free gate (non-test code in crates/{core,powermon,microbench,autoserve,tk1-sim,stream} + bench::{fleet,service_load})"
+echo "==> panic-free gate (non-test code in crates/{core,powermon,microbench,autoserve,tk1-sim,stream,linalg} + bench::{fleet,service_load})"
 # The measurement-to-fit pipeline, the serving layer (including the
 # chaos/breaker/supervision modules), the device catalog, the streaming
-# engine, and the load-generator client path report failures via
-# PipelineError or typed Rejected values; a new `.unwrap()` or
-# `panic!(` in their non-test code is a regression.  The
-# `#[cfg(test)]` tail of each module (the repo-wide idiom) and comment
-# lines are exempt.
+# engine, the load-generator client path and the dense linear algebra
+# report failures via PipelineError, LinalgError or typed Rejected
+# values; a new `.unwrap()` or `panic!(` in their non-test code is a
+# regression.  The `#[cfg(test)]` tail of each module (the repo-wide
+# idiom) and comment lines are exempt.
 GATE_VIOLATIONS=$(find crates/core/src crates/powermon/src crates/microbench/src \
-    crates/autoserve/src crates/tk1-sim/src crates/stream/src crates/bench/src/fleet.rs \
-    crates/bench/src/service_load.rs -name '*.rs' \
+    crates/autoserve/src crates/tk1-sim/src crates/stream/src crates/linalg/src \
+    crates/bench/src/fleet.rs crates/bench/src/service_load.rs -name '*.rs' \
     | while read -r f; do
         awk -v file="$f" '
             /#\[cfg\(test\)\]/ { exit }

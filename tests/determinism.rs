@@ -95,6 +95,30 @@ fn fmm_phase_counters_are_identical_across_runs() {
     }
 }
 
+/// Asserts that `got`'s UC2E/DC2E/M2M/L2L matrices are bit for bit
+/// those of `want` and that their FFT M2L spectra were keyed in the same
+/// order.
+fn assert_same_operators(got: &FmmPlan, want: &FmmPlan, threads: usize) {
+    let bits =
+        |m: &dvfs_linalg::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.tree.depth(), want.tree.depth());
+    for level in 0..=want.tree.depth() {
+        let (g, w) = (&got.ops, &want.ops);
+        assert_eq!(bits(g.uc2e(level)), bits(w.uc2e(level)), "UC2E({level}) at {threads} threads");
+        assert_eq!(bits(g.dc2e(level)), bits(w.dc2e(level)), "DC2E({level}) at {threads} threads");
+        if level == 0 {
+            continue;
+        }
+        for octant in 0..8 {
+            let at = format!("({level}, {octant}) at {threads} threads");
+            assert_eq!(bits(g.m2m(level, octant)), bits(w.m2m(level, octant)), "M2M{at}");
+            assert_eq!(bits(g.l2l(level, octant)), bits(w.l2l(level, octant)), "L2L{at}");
+        }
+    }
+    let keys = |plan: &FmmPlan| plan.fft.as_ref().map(|f| f.keys().to_vec());
+    assert_eq!(keys(got), keys(want), "FFT M2L key order at {threads} threads");
+}
+
 #[test]
 fn fmm_evaluation_and_counters_are_identical_across_thread_counts() {
     // This test owns the global thread-count override for its whole
@@ -107,7 +131,8 @@ fn fmm_evaluation_and_counters_are_identical_across_thread_counts() {
     // invariance for a plan *rebuilt* at that thread count — the
     // baseline plan goes through the sequential tree-build path
     // (threads = 1) while the rebuilt plans use the parallel builder,
-    // so this also pins sequential-vs-parallel construction.
+    // so this also pins sequential-vs-parallel construction, down to
+    // every precomputed operator and the FFT M2L key order.
     let (pts, den) = seeded_cloud(2500, 7);
 
     compat::par::set_thread_count(Some(1));
@@ -145,6 +170,7 @@ fn fmm_evaluation_and_counters_are_identical_across_thread_counts() {
         // tree and list builders; its op counts (and potentials) must
         // match the sequentially built baseline exactly.
         let rebuilt = FmmPlan::new(&pts, &den, 32, 4, M2lMethod::Fft);
+        assert_same_operators(&rebuilt, &plan, threads);
         let rebuilt_profile = profile_plan(&rebuilt, &CostModel::default());
         for (pa, pb) in rebuilt_profile.phases.iter().zip(&base_profile.phases) {
             assert_eq!(
