@@ -41,7 +41,6 @@ use dvfs_bench::report::{joules, pct, table};
 use dvfs_energy_model::experiments::{FMM_INPUTS, SYSTEM_SETTINGS};
 use dvfs_energy_model::{holdout_validation, leave_one_setting_out};
 use gpu_counters::TABLE3_EVENTS;
-use kifmm::Phase;
 
 const USAGE: &str = "\
 repro <artifact> [--scale-shift K] [--seed S]
@@ -88,8 +87,16 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let scale_shift = flag_value(&args, "--scale-shift").unwrap_or(0);
-    let seed = flag_value(&args, "--seed").unwrap_or(0xC0FFEE);
+    let flags = match parse_flags(args.get(1..).unwrap_or_default()) {
+        Ok(flags) => flags,
+        Err(msg) => {
+            eprintln!("{msg}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let flag_value = |flag: &str| flags.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v);
+    let scale_shift = flag_value("--scale-shift").unwrap_or(0);
+    let seed = flag_value("--seed").unwrap_or(0xC0FFEE);
 
     let run_all = artifact == "all";
     let want = |name: &str| run_all || artifact == name;
@@ -171,7 +178,7 @@ fn main() {
         ran = true;
     }
     if artifact == "service" {
-        let requests = flag_value(&args, "--requests").unwrap_or(50_000) as usize;
+        let requests = flag_value("--requests").unwrap_or(50_000) as usize;
         service(seed, requests);
         ran = true;
     }
@@ -184,10 +191,10 @@ fn main() {
         ran = true;
     }
     if artifact == "fmm-scaling" {
-        let reps = flag_value(&args, "--reps")
+        let reps = flag_value("--reps")
             .map(|r| r as usize)
             .unwrap_or_else(|| dvfs_bench::scaling::reps_from_env(3));
-        let max_n = flag_value(&args, "--max-n").unwrap_or(32_768) as usize;
+        let max_n = flag_value("--max-n").unwrap_or(32_768) as usize;
         fmm_scaling(reps, max_n);
         ran = true;
     }
@@ -198,8 +205,25 @@ fn main() {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
+/// The options `repro` accepts after the artifact name.
+const FLAGS: [&str; 5] = ["--scale-shift", "--seed", "--requests", "--reps", "--max-n"];
+
+/// Parses `--flag value` pairs.  Every flag must be one of [`FLAGS`] and
+/// carry a value that parses as an unsigned integer; anything else is an
+/// error naming the offending argument.
+fn parse_flags(args: &[String]) -> Result<Vec<(&'static str, u64)>, String> {
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag =
+            *FLAGS.iter().find(|f| **f == arg).ok_or_else(|| format!("unknown option '{arg}'"))?;
+        let value = args.next().ok_or_else(|| format!("option '{flag}' needs a value"))?;
+        let v = value
+            .parse()
+            .map_err(|_| format!("option '{flag}' needs an unsigned integer, got '{value}'"))?;
+        flags.push((flag, v));
+    }
+    Ok(flags)
 }
 
 /// Lazily built shared pipeline state so `repro all` fits everything
@@ -589,33 +613,37 @@ fn roofline(ctx: &mut Context) {
 }
 
 fn governors(ctx: &mut Context) {
-    use tk1_sim::{Device, EnergyEstimates, Governor};
-    let model = ctx.model();
-    let profiles = ctx.profiles();
-    let kernels = profiles[0].1.kernels();
-    let estimates = EnergyEstimates {
-        c0_pj_per_v2: model.c0_pj_per_v2,
-        c1_proc_w_per_v: model.c1_proc_w_per_v,
-        c1_mem_w_per_v: model.c1_mem_w_per_v,
-        p_misc_w: model.p_misc_w,
+    use dvfs_governor::{
+        FixedSetting, GovernorRuntime, OnDemand, PerPhaseModel, Policy, RaceToHalt, Workload,
     };
-    let mut device = Device::new(ctx.seed ^ 0x60BE);
+    use tk1_sim::Setting;
+    let model = ctx.model();
+    let workload = Workload::from_profile(&ctx.profiles()[0].1, 1);
+    let governors: [(&str, Box<dyn Policy>); 4] = [
+        ("performance", Box::new(RaceToHalt)),
+        ("powersave", Box::new(FixedSetting(Setting::new(0, 0)))),
+        ("ondemand-0.95", Box::new(OnDemand)),
+        ("model-based", Box::new(PerPhaseModel::new())),
+    ];
     let mut body = Vec::new();
-    for (name, gov) in [
-        ("performance", Governor::Performance),
-        ("powersave", Governor::Powersave),
-        ("ondemand-0.95", Governor::OnDemand { threshold: 0.95 }),
-        ("model-based", Governor::ModelBased(estimates)),
-    ] {
-        let run = gov.run(&mut device, &kernels);
+    for (name, mut policy) in governors {
+        // A fresh, identically seeded rig per governor: they differ only
+        // in their decisions, never in their noise draws.
+        let mut rt = GovernorRuntime::new(model.clone(), Setting::all().collect(), ctx.seed, None);
+        let report = rt.run(&workload, policy.as_mut());
+        let settings: Vec<String> = report.records.iter().map(|r| r.applied.label()).collect();
         body.push(vec![
             name.to_string(),
-            format!("{:.3}", run.total_time_s),
-            format!("{:.3}", run.total_energy_j),
+            format!("{:.3}", report.total_time_s),
+            format!("{:.3}", report.total_energy_j),
+            settings.join(" "),
         ]);
     }
     println!("== DVFS governors on the FMM (F1) phase sequence ==");
-    println!("{}", table(&["Governor", "Time s", "Energy J"], &body));
+    println!(
+        "{}",
+        table(&["Governor", "Time s", "Energy J", "Core/mem MHz (UP V U W X DOWN)"], &body)
+    );
 }
 
 fn governor(ctx: &mut Context) {
@@ -944,11 +972,4 @@ fn csv_export(ctx: &mut Context) {
     let path = "dataset.csv";
     std::fs::write(path, &csv).expect("write dataset.csv");
     println!("wrote {} samples to {path}", dataset.len());
-}
-
-// Silence the unused-import lint for Phase, which is useful to keep for
-// readers grepping the harness.
-#[allow(dead_code)]
-fn _phases() -> [Phase; 6] {
-    Phase::ALL
 }

@@ -117,17 +117,13 @@ pub trait PhaseObserver {
     fn on_phase_end(&mut self, phase: EnginePhase, elapsed_s: f64);
 }
 
-pub(crate) fn phase_start(obs: &mut Option<&mut dyn PhaseObserver>, phase: EnginePhase) {
+fn phase_start(obs: &mut Option<&mut dyn PhaseObserver>, phase: EnginePhase) {
     if let Some(o) = obs.as_deref_mut() {
         o.on_phase_start(phase);
     }
 }
 
-pub(crate) fn phase_end(
-    obs: &mut Option<&mut dyn PhaseObserver>,
-    phase: EnginePhase,
-    elapsed_s: f64,
-) {
+fn phase_end(obs: &mut Option<&mut dyn PhaseObserver>, phase: EnginePhase, elapsed_s: f64) {
     if let Some(o) = obs.as_deref_mut() {
         o.on_phase_end(phase, elapsed_s);
     }

@@ -33,7 +33,6 @@
 //! * [`accuracy`] — direct-sum reference and error norms.
 
 pub mod accuracy;
-pub mod dim2;
 pub mod distributions;
 pub mod evaluator;
 pub mod fft_m2l;

@@ -15,7 +15,8 @@
 //!   device (surviving latch-failure faults via verify-and-retry).
 //! * [`policy`] — the pluggable [`Policy`] trait and its
 //!   implementations: [`FixedSetting`], [`StaticBest`] (the paper's
-//!   Table II strategy), [`RaceToHalt`], [`PerPhaseModel`] (per-phase
+//!   Table II strategy), [`RaceToHalt`], [`OnDemand`] (a Linux
+//!   `ondemand`-style load follower), [`PerPhaseModel`] (per-phase
 //!   argmin of the fitted model's predicted energy, transition costs
 //!   included), [`PerPhaseAdaptive`] (the model policy plus an online
 //!   exponentially-weighted bias estimator fed by `powermon`
@@ -50,9 +51,9 @@ pub use arbiter::{
 };
 pub use hook::{governed_evaluate, PhasedDriver};
 pub use policy::{
-    plan_phase_settings, race_to_halt_plan, FixedSetting, Oracle, PerPhaseAdaptive, PerPhaseModel,
-    PhaseContext, PhaseFeedback, PhasePlan, Planned, Policy, Predictor, RaceToHalt, RunContext,
-    StaticBest,
+    plan_phase_settings, race_to_halt_plan, FixedSetting, OnDemand, Oracle, PerPhaseAdaptive,
+    PerPhaseModel, PhaseContext, PhaseFeedback, PhasePlan, Planned, Policy, Predictor, RaceToHalt,
+    RunContext, StaticBest,
 };
 pub use runtime::{GovernorReport, GovernorRuntime, PhaseRecord, PhaseTask, Workload};
 pub use transition::{TransitionCost, TransitionModel};

@@ -177,11 +177,59 @@ impl Policy for RaceToHalt {
         "race-to-halt"
     }
     fn select(&mut self, ctx: &PhaseContext<'_>) -> Setting {
+        highest(ctx.candidates)
+    }
+}
+
+/// The highest candidate, by core index then memory index.
+fn highest(candidates: &[Setting]) -> Setting {
+    candidates
+        .iter()
+        .copied()
+        .max_by_key(|s| (s.core_idx, s.mem_idx))
+        .unwrap_or_else(Setting::max_performance)
+}
+
+/// The utilization ceiling [`OnDemand`] keeps each clock domain under.
+const ONDEMAND_THRESHOLD: f64 = 0.95;
+
+/// A load follower in the style of the Linux `ondemand` governor, one of
+/// the system governors the paper's Related Work sets its model-based
+/// choice against.
+///
+/// Per phase it reads the kernel's demand off the roofline timing model
+/// at the highest candidate (its busy time, launch overhead excluded),
+/// then slows each clock domain as far as it can while that domain's
+/// own time stays within the demand over a 95% utilization ceiling —
+/// the idealized point a reactive governor converges to after a few
+/// sampling periods.  The pick is the lowest candidate (core index
+/// first) that meets both domain budgets; on a full frequency grid that
+/// is the slowest adequate core clock and the slowest adequate memory
+/// clock, chosen independently.  Low achieved utilization reads as
+/// idleness, so on the FMM it throttles far more than the model would.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnDemand;
+
+impl Policy for OnDemand {
+    fn name(&self) -> &'static str {
+        "ondemand"
+    }
+    fn select(&mut self, ctx: &PhaseContext<'_>) -> Setting {
+        let timing = ctx.predictor.timing;
+        let at_max = timing.execution_time(ctx.kernel, highest(ctx.candidates));
+        let budget = (at_max.total_s - at_max.overhead_s).max(1e-12) / ONDEMAND_THRESHOLD;
+        // Core-side times scale with the core clock only and DRAM time
+        // with the memory clock only, so each budget tests one domain.
+        let keeps_up = |s: Setting| {
+            let t = timing.execution_time(ctx.kernel, s);
+            t.fp_s.max(t.int_s).max(t.sm_l1_s).max(t.l2_s) <= budget && t.dram_s <= budget
+        };
         ctx.candidates
             .iter()
             .copied()
-            .max_by_key(|s| (s.core_idx, s.mem_idx))
-            .unwrap_or_else(Setting::max_performance)
+            .filter(|&s| keeps_up(s))
+            .min_by_key(|s| (s.core_idx, s.mem_idx))
+            .unwrap_or_else(|| highest(ctx.candidates))
     }
 }
 
@@ -587,7 +635,8 @@ impl Policy for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tk1_sim::{Device, OpClass, OpVector, NUM_OP_CLASSES};
+    use crate::runtime::{GovernorReport, GovernorRuntime, Workload};
+    use tk1_sim::{core_points, mem_points, Device, OpClass, OpVector, NUM_OP_CLASSES};
 
     fn toy_model() -> EnergyModel {
         EnergyModel {
@@ -645,5 +694,97 @@ mod tests {
         );
         assert!(plan.settings.is_empty());
         assert_eq!(plan.predicted_total_j, 0.0);
+    }
+
+    fn compute_kernel() -> KernelProfile {
+        KernelProfile::new(
+            "compute",
+            OpVector::from_pairs(&[(OpClass::FlopSp, 2e10), (OpClass::Dram, 1e6)]),
+        )
+    }
+
+    fn memory_kernel() -> KernelProfile {
+        KernelProfile::new(
+            "stream",
+            OpVector::from_pairs(&[(OpClass::FlopSp, 1e6), (OpClass::Dram, 5e8)]),
+        )
+    }
+
+    /// Runs `kernels` once each under `policy` on a fresh rig with the
+    /// full TK1 grid as candidates and the simulator's own (idealized)
+    /// constants as the model, so the model-based pick is not at the
+    /// mercy of a fit.
+    fn governed(policy: &mut dyn Policy, kernels: &[KernelProfile], seed: u64) -> GovernorReport {
+        let t = TruthConstants::ideal();
+        let model = EnergyModel {
+            c0_pj_per_v2: t.c0_pj_per_v2,
+            c1_proc_w_per_v: t.c1_proc_w_per_v,
+            c1_mem_w_per_v: t.c1_mem_w_per_v,
+            p_misc_w: t.p_misc_w,
+        };
+        let tasks =
+            kernels.iter().map(|k| PhaseTask { phase: Phase::U, kernel: k.clone() }).collect();
+        GovernorRuntime::new(model, Setting::all().collect(), seed, None)
+            .run(&Workload { tasks, rounds: 1 }, policy)
+    }
+
+    #[test]
+    fn ondemand_throttles_only_the_idle_domain() {
+        let report = governed(&mut OnDemand, &[compute_kernel(), memory_kernel()], 1);
+        let (top_core, top_mem) = (core_points().len() - 1, mem_points().len() - 1);
+        // Compute-bound: the core stays fast, the memory clock drops.
+        let s = report.records[0].requested;
+        assert_eq!(s.core_idx, top_core, "core stays fast");
+        assert!(s.mem_idx < top_mem, "memory throttles");
+        // Memory-bound: the core clock drops instead.
+        let s = report.records[1].requested;
+        assert!(s.core_idx < top_core, "core throttles");
+        assert_eq!(s.mem_idx, top_mem, "memory stays fast");
+    }
+
+    #[test]
+    fn ondemand_barely_costs_time_and_saves_energy() {
+        let kernels = [compute_kernel(), memory_kernel()];
+        let fast = governed(&mut RaceToHalt, &kernels, 1);
+        let ondemand = governed(&mut OnDemand, &kernels, 1);
+        assert!(
+            ondemand.total_time_s <= fast.total_time_s * 1.10,
+            "throttling the idle domain costs little time: {} vs {}",
+            ondemand.total_time_s,
+            fast.total_time_s
+        );
+        assert!(ondemand.total_energy_j < fast.total_energy_j, "and saves energy");
+    }
+
+    #[test]
+    fn lowest_fixed_setting_saves_power_not_energy() {
+        let kernels = [compute_kernel()];
+        let fast = governed(&mut RaceToHalt, &kernels, 2);
+        let slow = governed(&mut FixedSetting(Setting::new(0, 0)), &kernels, 2);
+        assert_eq!(fast.records[0].applied, Setting::max_performance());
+        assert_eq!(slow.records[0].applied, Setting::new(0, 0));
+        // Mean power is lower...
+        assert!(slow.total_energy_j / slow.total_time_s < fast.total_energy_j / fast.total_time_s);
+        // ...but the 72 MHz crawl stretches constant energy so far that
+        // total energy is worse.
+        assert!(slow.total_energy_j > fast.total_energy_j);
+    }
+
+    #[test]
+    fn per_phase_model_spends_no_more_energy_than_the_system_governors() {
+        let kernels = [compute_kernel(), memory_kernel(), compute_kernel()];
+        let model = governed(&mut PerPhaseModel::new(), &kernels, 3);
+        let others: [Box<dyn Policy>; 3] =
+            [Box::new(RaceToHalt), Box::new(FixedSetting(Setting::new(0, 0))), Box::new(OnDemand)];
+        for mut other in others {
+            let other = governed(other.as_mut(), &kernels, 3);
+            assert!(
+                model.total_energy_j <= other.total_energy_j * 1.001,
+                "model {} J vs {} {} J",
+                model.total_energy_j,
+                other.policy,
+                other.total_energy_j
+            );
+        }
     }
 }

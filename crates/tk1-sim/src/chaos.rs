@@ -46,11 +46,12 @@
 //! the same way for the whole run, which is exactly what lets the
 //! circuit breaker open deterministically.
 //!
-//! `FMM_ENERGY_CHAOS` uses the same grammar as `FMM_ENERGY_FAULTS`:
-//! unset/`off`/`0` → no chaos; `default`/`on`/`1` → the default
-//! profile; comma-separated `key=value` overrides, plus `seed=N`.
+//! `FMM_ENERGY_CHAOS` uses the same grammar, and the same parser, as
+//! `FMM_ENERGY_FAULTS`: unset/`off`/`0` → no chaos; `default`/`on`/`1`
+//! → the default profile; comma-separated `key=value` overrides, plus
+//! `seed=N`.
 
-use crate::faults::{mix64, FaultConfig, FaultRates};
+use crate::faults::{mix64, parse_spec, FaultConfig, FaultRates, SpecField};
 use std::time::Duration;
 
 /// Per-mechanism chaos probabilities (each an independent draw per
@@ -131,47 +132,8 @@ impl ChaosConfig {
 
     /// Parses a `FMM_ENERGY_CHAOS`-style spec string.
     pub fn parse(spec: &str) -> Option<ChaosConfig> {
-        let spec = spec.trim();
-        if spec.is_empty() || spec.eq_ignore_ascii_case("off") || spec == "0" {
-            return None;
-        }
-        let mut cfg = ChaosConfig { seed: 0xC4A0_5EED, rates: ChaosRates::off() };
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.eq_ignore_ascii_case("default")
-                || token.eq_ignore_ascii_case("on")
-                || token == "1"
-            {
-                cfg.rates = ChaosRates::default_profile();
-                continue;
-            }
-            let Some((key, value)) = token.split_once('=') else { continue };
-            let (key, value) = (key.trim(), value.trim());
-            if key == "seed" {
-                if let Ok(s) = value.parse::<u64>() {
-                    cfg.seed = s;
-                }
-                continue;
-            }
-            if key == "stall_ms" {
-                if let Ok(ms) = value.parse::<u64>() {
-                    cfg.rates.stall_ms = ms;
-                }
-                continue;
-            }
-            let Ok(x) = value.parse::<f64>() else { continue };
-            let r = &mut cfg.rates;
-            match key {
-                "worker_panic" => r.worker_panic = x,
-                "worker_abort" => r.worker_abort = x,
-                "worker_stall" => r.worker_stall = x,
-                "latch_storm" => r.latch_storm = x,
-                "meter_storm" => r.meter_storm = x,
-                "cache_corrupt" => r.cache_corrupt = x,
-                _ => {}
-            }
-        }
-        Some(cfg)
+        let off = ChaosConfig { seed: 0xC4A0_5EED, rates: ChaosRates::off() };
+        parse_spec(spec, off, |c| c.rates = ChaosRates::default_profile(), &CHAOS_KEYS)
     }
 
     /// The injector for this campaign.
@@ -179,6 +141,18 @@ impl ChaosConfig {
         ChaosInjector { key: mix64(self.seed ^ 0x5E2F_1CE0_C4A0_5EED), rates: self.rates }
     }
 }
+
+/// The `FMM_ENERGY_CHAOS` keys and the field each one sets.
+const CHAOS_KEYS: [(&str, SpecField<ChaosConfig>); 8] = [
+    ("seed", SpecField::Whole(|c, s| c.seed = s)),
+    ("worker_panic", SpecField::Real(|c, x| c.rates.worker_panic = x)),
+    ("worker_abort", SpecField::Real(|c, x| c.rates.worker_abort = x)),
+    ("worker_stall", SpecField::Real(|c, x| c.rates.worker_stall = x)),
+    ("stall_ms", SpecField::Whole(|c, ms| c.rates.stall_ms = ms)),
+    ("latch_storm", SpecField::Real(|c, x| c.rates.latch_storm = x)),
+    ("meter_storm", SpecField::Real(|c, x| c.rates.meter_storm = x)),
+    ("cache_corrupt", SpecField::Real(|c, x| c.rates.cache_corrupt = x)),
+];
 
 /// What befalls a worker for one (request, attempt) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

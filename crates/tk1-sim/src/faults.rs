@@ -121,44 +121,8 @@ impl FaultConfig {
 
     /// Parses a `FMM_ENERGY_FAULTS`-style spec string.
     pub fn parse(spec: &str) -> Option<FaultConfig> {
-        let spec = spec.trim();
-        if spec.is_empty() || spec.eq_ignore_ascii_case("off") || spec == "0" {
-            return None;
-        }
-        let mut cfg = FaultConfig { seed: 0xFA17, rates: FaultRates::off() };
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.eq_ignore_ascii_case("default")
-                || token.eq_ignore_ascii_case("on")
-                || token == "1"
-            {
-                cfg.rates = FaultRates::default_campaign();
-                continue;
-            }
-            let Some((key, value)) = token.split_once('=') else { continue };
-            let (key, value) = (key.trim(), value.trim());
-            if key == "seed" {
-                if let Ok(s) = value.parse::<u64>() {
-                    cfg.seed = s;
-                }
-                continue;
-            }
-            let Ok(x) = value.parse::<f64>() else { continue };
-            let r = &mut cfg.rates;
-            match key {
-                "sample_dropout" => r.sample_dropout = x,
-                "sample_clip" => r.sample_clip = x,
-                "spike" => r.spike = x,
-                "spike_mag" => r.spike_mag = x,
-                "timestamp_jitter_rel" => r.timestamp_jitter_rel = x,
-                "throttle" => r.throttle = x,
-                "throttle_stretch" => r.throttle_stretch = x,
-                "latch_fail" => r.latch_fail = x,
-                "latch_neighbor" => r.latch_neighbor = x,
-                _ => {}
-            }
-        }
-        Some(cfg)
+        let off = FaultConfig { seed: 0xFA17, rates: FaultRates::off() };
+        parse_spec(spec, off, |c| c.rates = FaultRates::default_campaign(), &FAULT_KEYS)
     }
 
     /// An injector for one component instance.  `stream` separates
@@ -190,6 +154,73 @@ impl FaultConfig {
         }
         h
     }
+}
+
+/// The `FMM_ENERGY_FAULTS` keys and the field each one sets.
+const FAULT_KEYS: [(&str, SpecField<FaultConfig>); 10] = [
+    ("seed", SpecField::Whole(|c, s| c.seed = s)),
+    ("sample_dropout", SpecField::Real(|c, x| c.rates.sample_dropout = x)),
+    ("sample_clip", SpecField::Real(|c, x| c.rates.sample_clip = x)),
+    ("spike", SpecField::Real(|c, x| c.rates.spike = x)),
+    ("spike_mag", SpecField::Real(|c, x| c.rates.spike_mag = x)),
+    ("timestamp_jitter_rel", SpecField::Real(|c, x| c.rates.timestamp_jitter_rel = x)),
+    ("throttle", SpecField::Real(|c, x| c.rates.throttle = x)),
+    ("throttle_stretch", SpecField::Real(|c, x| c.rates.throttle_stretch = x)),
+    ("latch_fail", SpecField::Real(|c, x| c.rates.latch_fail = x)),
+    ("latch_neighbor", SpecField::Real(|c, x| c.rates.latch_neighbor = x)),
+];
+
+/// How a spec key's value sets one field of a config.
+pub(crate) enum SpecField<C> {
+    /// A probability or magnitude, parsed as `f64`.
+    Real(fn(&mut C, f64)),
+    /// A seed or count, parsed as `u64`.
+    Whole(fn(&mut C, u64)),
+}
+
+/// The spec grammar `FMM_ENERGY_FAULTS` and `FMM_ENERGY_CHAOS` share.
+///
+/// An empty spec, `off` or `0` disables injection (`None`).  Otherwise
+/// the config starts at `off` and each comma-separated token edits it:
+/// `default`, `on` or `1` applies `load_default`, and `key=value` sets
+/// the field `keys` lists for `key`.  Unknown keys and malformed values
+/// are skipped — a typo in an environment variable must not abort a
+/// campaign.
+pub(crate) fn parse_spec<C>(
+    spec: &str,
+    off: C,
+    load_default: fn(&mut C),
+    keys: &[(&str, SpecField<C>)],
+) -> Option<C> {
+    let spec = spec.trim();
+    if spec.is_empty() || spec.eq_ignore_ascii_case("off") || spec == "0" {
+        return None;
+    }
+    let mut cfg = off;
+    for token in spec.split(',') {
+        let token = token.trim();
+        if token.eq_ignore_ascii_case("default") || token.eq_ignore_ascii_case("on") || token == "1"
+        {
+            load_default(&mut cfg);
+            continue;
+        }
+        let Some((key, value)) = token.split_once('=') else { continue };
+        let (key, value) = (key.trim(), value.trim());
+        match keys.iter().find(|(k, _)| *k == key).map(|(_, field)| field) {
+            Some(SpecField::Real(set)) => {
+                if let Ok(x) = value.parse() {
+                    set(&mut cfg, x);
+                }
+            }
+            Some(SpecField::Whole(set)) => {
+                if let Ok(n) = value.parse() {
+                    set(&mut cfg, n);
+                }
+            }
+            None => {}
+        }
+    }
+    Some(cfg)
 }
 
 // Salt constants: one hash channel per fault mechanism.

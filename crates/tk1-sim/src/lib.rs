@@ -36,7 +36,6 @@ pub mod chaos;
 pub mod device;
 pub mod dvfs;
 pub mod faults;
-pub mod governor;
 pub mod kernel;
 pub mod ops;
 pub mod power;
@@ -49,7 +48,6 @@ pub use chaos::{ChaosConfig, ChaosInjector, ChaosRates, StormKind, WorkerEvent};
 pub use device::{Device, Execution};
 pub use dvfs::{core_points, mem_points, DvfsPoint, OperatingPoint, Setting};
 pub use faults::{mix64, FaultConfig, FaultInjector, FaultRates, LatchOutcome};
-pub use governor::{EnergyEstimates, Governor, GovernorRun};
 pub use kernel::KernelProfile;
 pub use ops::{OpClass, OpVector, ALL_CLASSES, COMPUTE_CLASSES, MEMORY_CLASSES, NUM_OP_CLASSES};
 pub use power::{EnergyComponents, TruthConstants};

@@ -3,27 +3,22 @@
 //! The paper's Related Work contrasts model-based DVFS selection with
 //! system-level, slack-reactive governors.  This example stages that
 //! comparison directly: the FMM's six phase kernels (profiled at
-//! N = 32768, Q = 128) run under four governors, and the energy roofline
-//! shows *why* the winners win.
+//! N = 32768, Q = 128) run through the governor runtime under four
+//! policies — performance, powersave, ondemand and the fitted model —
+//! and the energy roofline shows *why* the winners win.
 //!
 //! Run with: `cargo run --release --example governor_study`
 
 use compat::rng::StdRng;
+use fmm_energy::governor::{FixedSetting, OnDemand, RaceToHalt};
 use fmm_energy::model::roofline::EnergyRoofline;
-use fmm_energy::platform::{EnergyEstimates, Governor};
 use fmm_energy::prelude::*;
 
 fn main() {
-    // Fit the model (its estimates drive the model-based governor).
+    // Fit the model (its predictions drive the model-based governor).
     println!("fitting the model ...");
     let dataset = run_sweep(&SweepConfig::default());
     let model = fit_model(dataset.training()).model;
-    let estimates = EnergyEstimates {
-        c0_pj_per_v2: model.c0_pj_per_v2,
-        c1_proc_w_per_v: model.c1_proc_w_per_v,
-        c1_mem_w_per_v: model.c1_mem_w_per_v,
-        p_misc_w: model.p_misc_w,
-    };
 
     // Profile the FMM's phases into executable kernels.
     let n = 32_768;
@@ -31,25 +26,25 @@ fn main() {
     let pts: Vec<[f64; 3]> = (0..n).map(|_| [rng.random(), rng.random(), rng.random()]).collect();
     let den: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
     let plan = FmmPlan::new(&pts, &den, 128, 4, M2lMethod::Fft);
-    let kernels = profile_plan(&plan, &CostModel::default()).kernels();
+    let workload = Workload::from_profile(&profile_plan(&plan, &CostModel::default()), 1);
 
     println!("\nrunning the FMM phase sequence under four governors:\n");
     println!("{:<28} {:>10} {:>12} {:>24}", "governor", "time s", "energy J", "settings used");
-    let governors: Vec<(&str, Governor)> = vec![
-        ("performance (race-to-halt)", Governor::Performance),
-        ("powersave", Governor::Powersave),
-        ("ondemand (95% target)", Governor::OnDemand { threshold: 0.95 }),
-        ("model-based (this paper)", Governor::ModelBased(estimates)),
+    let governors: [(&str, Box<dyn Policy>); 4] = [
+        ("performance (race-to-halt)", Box::new(RaceToHalt)),
+        ("powersave", Box::new(FixedSetting(Setting::new(0, 0)))),
+        ("ondemand (95% target)", Box::new(OnDemand)),
+        ("model-based (this paper)", Box::new(PerPhaseModel::new())),
     ];
-    let mut device = Device::new(99);
-    for (name, gov) in governors {
-        let run = gov.run(&mut device, &kernels);
-        let mut used: Vec<String> = run.settings.iter().map(|s| s.label()).collect();
+    for (name, mut policy) in governors {
+        let mut runtime = GovernorRuntime::new(model.clone(), Setting::all().collect(), 99, None);
+        let report = runtime.run(&workload, policy.as_mut());
+        let mut used: Vec<String> = report.records.iter().map(|r| r.applied.label()).collect();
         used.dedup();
         println!(
             "{name:<28} {:>10.3} {:>12.3} {:>24}",
-            run.total_time_s,
-            run.total_energy_j,
+            report.total_time_s,
+            report.total_energy_j,
             used.join(" ")
         );
     }

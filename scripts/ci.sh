@@ -79,6 +79,12 @@ FMM_ENERGY_FAULTS=default \
     cargo run --offline --release -p dvfs-bench --bin repro -- governor --scale-shift 6 \
     | grep -q "per-phase-model matches or beats"
 
+echo "==> governor: committed BENCH_governor.json (schema)"
+# The committed governor artifact must carry, for each FMM input, the
+# best measured static energy and every policy's energy and time.
+cargo run --offline --release -p dvfs-bench --bin bench_snapshot -- \
+    --check-governor BENCH_governor.json
+
 echo "==> fmm: committed BENCH_fmm.json (schema + grid coverage + digests)"
 # The committed scaling snapshot must cover the full 1/2/4/8-thread
 # grid up to n = 2^20 and carry one potential digest per (n, threads)

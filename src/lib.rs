@@ -96,7 +96,7 @@ pub mod prelude {
         Kernel, LaplaceKernel, Phase, YukawaKernel,
     };
     pub use powermon_sim::PowerMon;
-    pub use tk1_sim::{Device, Governor, KernelProfile, OpClass, OpVector, Setting};
+    pub use tk1_sim::{Device, KernelProfile, OpClass, OpVector, Setting};
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! uncertainty, model-structure ablation, trace segmentation, forces,
 //! and kernel independence — all through the public facade.
 
+use fmm_energy::governor::{PhaseTask, RaceToHalt};
 use fmm_energy::model::experiments::SYSTEM_SETTINGS;
-use fmm_energy::platform::{EnergyEstimates, Governor};
 use fmm_energy::powermon::{segment_trace, PowerTrace, SegmentConfig};
 use fmm_energy::prelude::*;
 
@@ -58,25 +58,22 @@ fn pareto_frontier_of_a_real_kernel_is_consistent() {
 #[test]
 fn model_based_governor_never_loses_to_race_to_halt() {
     let (model, _) = fitted();
-    let estimates = EnergyEstimates {
-        c0_pj_per_v2: model.c0_pj_per_v2,
-        c1_proc_w_per_v: model.c1_proc_w_per_v,
-        c1_mem_w_per_v: model.c1_mem_w_per_v,
-        p_misc_w: model.p_misc_w,
-    };
-    let kernels: Vec<KernelProfile> = [1.0, 8.0, 64.0]
+    let tasks = [1.0, 8.0, 64.0]
         .iter()
-        .map(|&a| MicrobenchKind::SinglePrecision.instance(a).kernel().clone())
+        .map(|&a| PhaseTask {
+            phase: Phase::U,
+            kernel: MicrobenchKind::SinglePrecision.instance(a).kernel().clone(),
+        })
         .collect();
-    let mut device = Device::new(8);
-    let race = Governor::Performance.run(&mut device, &kernels);
-    let model_run = Governor::ModelBased(estimates).run(&mut device, &kernels);
-    assert!(
-        model_run.total_energy_j <= race.total_energy_j * 1.02,
-        "model {} J vs race {} J",
-        model_run.total_energy_j,
-        race.total_energy_j
-    );
+    let workload = Workload { tasks, rounds: 1 };
+    let run = |policy: &mut dyn Policy| {
+        GovernorRuntime::new(model.clone(), Setting::all().collect(), 8, None)
+            .run(&workload, policy)
+            .total_energy_j
+    };
+    let race = run(&mut RaceToHalt);
+    let model_run = run(&mut PerPhaseModel::new());
+    assert!(model_run <= race * 1.02, "model {model_run} J vs race {race} J");
 }
 
 #[test]
