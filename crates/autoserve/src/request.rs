@@ -3,6 +3,7 @@
 
 use compat::chan::OnceTimeout;
 use compat::error::PipelineError;
+use compat::rng::mix64;
 use dvfs_energy_model::GridPrediction;
 use dvfs_governor::PhasePlan;
 use std::time::{Duration, Instant};
@@ -316,16 +317,6 @@ fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// SplitMix64 finalizer — the workspace's standard bit mixer, used here
-/// for shard routing and for folding per-request digests into one
-/// order-insensitive run digest.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Folds one response into an order-insensitive run digest: XOR of

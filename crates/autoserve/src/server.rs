@@ -40,10 +40,11 @@
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerRegistry};
 use crate::cache::{CacheOutcome, CacheStats, ModelCache};
 use crate::config::{ServeConfig, SupervisionConfig};
-use crate::request::{mix64, DegradeLevel, ModelKey, Rejected, Ticket, TuneRequest, TuneResponse};
+use crate::request::{DegradeLevel, ModelKey, Rejected, Ticket, TuneRequest, TuneResponse};
 use crate::rig::{race_to_halt_answer, LowerCache, Rig};
 use compat::chan::{bounded, oneshot, OnceSender, Receiver, Sender, TrySendError};
 use compat::error::PipelineError;
+use compat::rng::mix64;
 use dvfs_energy_model::fitted_sibling_model;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -72,7 +72,7 @@ fn bench_phase_timings(c: &mut Criterion) {
     // (`evaluate_timed`).  The criterion number tracks the timed
     // evaluate as a whole; the phase split for each size is printed
     // once so a bench log shows where the time goes (the committable
-    // artifact form of the same data is `scripts/bench_snapshot.sh`).
+    // artifact form of the same data is `repro fmm-scaling --out`).
     let mut group = c.benchmark_group("phases");
     group.sample_size(10);
     for &n in &[8192usize, 32768] {
@@ -101,9 +101,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
     // The {threads} × {n} grid of the committed BENCH_fmm.json, in
     // criterion form: evaluate under every pool width, plus the
     // sequential and parallel tree builders head to head.  The full
-    // grid (n up to 2^20) lives in `bench_snapshot`/`repro
-    // fmm-scaling`; this group keeps the small sizes under criterion's
-    // statistics.
+    // grid (n up to 2^20) lives in `repro fmm-scaling`; this group
+    // keeps the small sizes under criterion's statistics.
     let mut group = c.benchmark_group("scaling");
     group.sample_size(10);
     for &n in &[8192usize, 32768] {

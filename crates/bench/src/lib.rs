@@ -6,6 +6,7 @@
 //! the integration tests assert on.  Paper reference values live in
 //! [`paper`] so every report can show *paper vs. measured* side by side.
 
+pub mod check;
 pub mod fleet;
 pub mod governor;
 pub mod paper;

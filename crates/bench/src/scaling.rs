@@ -1,8 +1,8 @@
 //! Thread-scaling measurement grid for the FMM evaluation engine.
 //!
-//! One `(n, threads)` grid drives both the committed `BENCH_fmm.json`
-//! snapshot (`bench_snapshot`) and the `repro fmm-scaling` table, so the
-//! two artifacts can never disagree about what was measured.  For each
+//! One `(n, threads)` grid drives both the `repro fmm-scaling` table
+//! and the `BENCH_fmm.json` it writes with `--out`, so the two can
+//! never disagree about what was measured.  For each
 //! problem size the plan (tree, lists, operators) is built **once** and
 //! evaluated under every pool width; alongside the phase medians each
 //! case records a digest folded from the raw potential bits, which makes
@@ -24,8 +24,9 @@ use kifmm::{FmmEvaluator, PhaseTimings};
 /// an 8-way point for SMT/headroom.
 pub const DEFAULT_THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
 
-/// Problem sizes for the committed snapshot, up to `2^20` points.
-pub const DEFAULT_SIZES: [usize; 4] = [8_192, 32_768, 262_144, 1_048_576];
+/// Problem sizes `repro fmm-scaling` measures by default; the committed
+/// `BENCH_fmm.json` adds `262_144` and `1_048_576` through `--sizes`.
+pub const DEFAULT_SIZES: [usize; 2] = [8_192, 32_768];
 
 /// Environment override for the repetition count (a positive integer);
 /// an explicit `--reps` flag still wins over it.

@@ -72,8 +72,8 @@ impl Default for RetryPolicy {
 }
 
 /// Load-generator configuration.  The defaults are sized for the
-/// integration tests; `bench_snapshot --service` scales `requests` up
-/// to the committed ≥1M-request artifact.
+/// integration tests; `repro service --requests 1000000` scales
+/// `requests` up to the committed ≥1M-request artifact.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Requests in the main (digest-bearing) segment.
@@ -92,7 +92,8 @@ pub struct LoadConfig {
     /// In-memory model-cache rigs per shard.
     pub cache_capacity: usize,
     /// Catalog platform every request tunes for (`FMM_ENERGY_DEVICE`
-    /// selects it in `bench_snapshot --service`); the TK1 by default.
+    /// selects it in `repro service` and `repro chaos`); the TK1 by
+    /// default.
     pub device_id: &'static str,
     /// Distinct simulated boards the request stream tunes for (device
     /// seeds `0..distinct_devices`); each costs one cold fit.

@@ -1,8 +1,7 @@
 //! The streaming-engine benchmark: the pinned scenario suite of
 //! `dvfs_stream::scenario` run with the *fitted* energy model across
 //! the 1/2/4/8 thread grid, plus the JSON shape committed as
-//! `BENCH_stream.json` and validated by
-//! `bench_snapshot --check-stream`.
+//! `BENCH_stream.json` and validated by `repro stream --check`.
 
 use compat::json::Json;
 use compat::par;

@@ -324,11 +324,6 @@ impl<T> OnceReceiver<T> {
             }
         }
     }
-
-    /// Non-blocking probe: `Some` once the value is ready.
-    pub fn try_recv(&self) -> Option<T> {
-        lock_unpoisoned(&self.slot.state).value.take()
-    }
 }
 
 impl<T> Drop for OnceReceiver<T> {

@@ -8,14 +8,50 @@
 //! streams on every platform: all arithmetic is wrapping integer math,
 //! so the sequences are bit-reproducible across architectures.
 
-/// One SplitMix64 step: advances `state` and returns the next output.
+/// The golden-ratio increment of SplitMix64.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer: a high-quality 64-bit mixing function.
+///
+/// Every stateless hash-keyed subsystem (fault injection, chaos,
+/// particle motion, streaming traffic, shard routing and run digests)
+/// keys its decisions off this one function: a decision is a hash of
+/// `(seed, salt, subject)`, never of shared mutable state, which is
+/// what makes those subsystems bitwise-reproducible at any thread or
+/// shard count.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: advances `state` and returns the next output.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    let z = *state;
+    *state = z.wrapping_add(GOLDEN);
+    mix64(z)
+}
+
+/// The top 53 bits of `bits` as a uniform value in `[0, 1)`.
+#[inline]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A uniform draw in `[0, 1)` keyed by `(key, salt, subject)`.
+#[inline]
+pub fn keyed_unit(key: u64, salt: u64, subject: u64) -> f64 {
+    unit_f64(mix64(key ^ mix64(salt.wrapping_mul(GOLDEN) ^ mix64(subject))))
+}
+
+/// A uniform draw in `[0, 1)` keyed by `(key, salt, a, b)`.
+#[inline]
+pub fn keyed_unit_pair(key: u64, salt: u64, a: u64, b: u64) -> f64 {
+    let subject = mix64(a) ^ mix64(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    unit_f64(mix64(key ^ mix64(salt.wrapping_mul(GOLDEN) ^ subject)))
 }
 
 /// A seedable xoshiro256++ generator.
@@ -36,7 +72,7 @@ impl StdRng {
         // SplitMix64 expansion cannot produce it from any seed, but keep
         // the guard in case of future direct-state constructors.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = GOLDEN;
         }
         StdRng { s }
     }
@@ -54,12 +90,6 @@ impl StdRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// The next 32-bit output (upper half of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// A uniformly distributed value of type `T`.
@@ -95,8 +125,7 @@ pub trait FromRng {
 impl FromRng for f64 {
     #[inline]
     fn from_rng(rng: &mut StdRng) -> f64 {
-        // 53 random mantissa bits / 2^53: uniform on [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 }
 
@@ -188,6 +217,28 @@ mod tests {
             first,
             vec![5987356902031041503, 7051070477665621255, 6633766593972829180, 211316841551650330,]
         );
+    }
+
+    #[test]
+    fn hash_helpers_match_their_recorded_values() {
+        // Recorded from the per-crate copies these helpers replaced
+        // (faults, chaos, motion, traffic and autoserve); the fault,
+        // chaos and stream digests depend on every bit.
+        let mixes = [0, 1, 0xC0FFEE, u64::MAX].map(mix64);
+        assert_eq!(
+            mixes,
+            [0xe220a8397b1dcdaf, 0x910a2dec89025cc1, 0xca8216fa9058d0fa, 0xe4d971771b652c20]
+        );
+        let mut state = 0xC0FFEE;
+        let steps = [(); 3].map(|_| splitmix64(&mut state));
+        assert_eq!(steps, [0xca8216fa9058d0fa, 0xece45babce870479, 0x87be93a4a16a73cb]);
+        assert_eq!(state, 0xdaa66d2c7ea0742d);
+        let units = [(0, 0, 0), (0xC0FFEE, 0xC4_01, 42), (u64::MAX, 7, 123_456_789)]
+            .map(|(k, s, x)| keyed_unit(k, s, x).to_bits());
+        assert_eq!(units, [0x3fc1c13ade1c7e5c, 0x3fe6de1ac89bf896, 0x3fb633faf3afdea0]);
+        let pairs = [(0, 0, 0, 0), (0xC0FFEE, 0x171E, 3, 99), (u64::MAX, 5, 1 << 40, 17)]
+            .map(|(k, s, a, b)| keyed_unit_pair(k, s, a, b).to_bits());
+        assert_eq!(pairs, [0x3fe4e0dba5e9a32f, 0x3feb6ef720afef20, 0x3fecd3cfeb2d66da]);
     }
 
     #[test]

@@ -2,14 +2,10 @@
 //!
 //! Instrumented code (the FMM's rayon-parallel phases) increments
 //! counters concurrently; reads (profile extraction) happen between
-//! phases.  Hot increments are relaxed atomics; the named-set registry
-//! uses a `parking_lot` lock since it is touched once per phase.
+//! phases.  Hot increments are relaxed atomics.
 
 use crate::events::{CounterEvent, TABLE3_EVENTS};
-use compat::sync::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One set of Table III counters.
 #[derive(Debug, Default)]
@@ -68,48 +64,10 @@ impl CounterSet {
     }
 }
 
-/// A registry of named counter sets — one per FMM phase, like profiling
-/// each kernel separately under nvprof.
-#[derive(Debug, Default)]
-pub struct PhaseRegistry {
-    sets: RwLock<HashMap<String, Arc<CounterSet>>>,
-}
-
-impl PhaseRegistry {
-    /// A fresh registry.
-    pub fn new() -> Self {
-        PhaseRegistry::default()
-    }
-
-    /// The counter set for `phase`, created on first use.
-    pub fn phase(&self, phase: &str) -> Arc<CounterSet> {
-        if let Some(set) = self.sets.read().get(phase) {
-            return Arc::clone(set);
-        }
-        let mut w = self.sets.write();
-        Arc::clone(w.entry(phase.to_string()).or_default())
-    }
-
-    /// Phase names registered so far, sorted.
-    pub fn phases(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.sets.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// A counter set holding the sum over all phases.
-    pub fn total(&self) -> CounterSet {
-        let total = CounterSet::new();
-        for set in self.sets.read().values() {
-            total.merge(set);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn add_and_get() {
@@ -166,16 +124,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(CounterEvent::inst_integer), 80_000);
-    }
-
-    #[test]
-    fn registry_reuses_sets_and_totals() {
-        let r = PhaseRegistry::new();
-        r.phase("ulist").add(CounterEvent::flops_dp_fma, 7);
-        r.phase("vlist").add(CounterEvent::flops_dp_fma, 3);
-        r.phase("ulist").add(CounterEvent::flops_dp_fma, 1);
-        assert_eq!(r.phase("ulist").get(CounterEvent::flops_dp_fma), 8);
-        assert_eq!(r.phases(), vec!["ulist".to_string(), "vlist".to_string()]);
-        assert_eq!(r.total().get(CounterEvent::flops_dp_fma), 11);
     }
 }

@@ -320,7 +320,7 @@ impl FmmEvaluator {
 
     /// Like [`FmmEvaluator::evaluate`], additionally reporting wall-clock
     /// time per phase — the measurement hook the phase benchmarks and
-    /// `scripts/bench_snapshot.sh` build on.
+    /// `repro fmm-scaling` build on.
     pub fn evaluate_timed<K: Kernel>(&self, plan: &FmmPlan<K>) -> (Vec<f64>, PhaseTimings) {
         let (pot, _, timings) = self.evaluate_impl(plan, false, None);
         (pot, timings)

@@ -111,11 +111,6 @@ impl InteractionLists {
         InteractionLists { u, v, w, x }
     }
 
-    /// Total number of (target, source) pairs in the U lists.
-    pub fn u_pair_count(&self) -> usize {
-        self.u.iter().map(|l| l.len()).sum()
-    }
-
     /// Total number of V translations.
     pub fn v_pair_count(&self) -> usize {
         self.v.iter().map(|l| l.len()).sum()

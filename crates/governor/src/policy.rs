@@ -388,11 +388,6 @@ impl Planned {
     pub fn new(plan: Vec<Setting>, stride: usize) -> Self {
         Planned { plan, stride: stride.max(1) }
     }
-
-    /// Wraps a whole-run [`PhasePlan`] of `stride` stages per round.
-    pub fn from_phase_plan(plan: &PhasePlan, stride: usize) -> Self {
-        Planned::new(plan.settings.clone(), stride)
-    }
 }
 
 impl Policy for Planned {

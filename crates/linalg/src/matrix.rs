@@ -101,12 +101,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable underlying row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

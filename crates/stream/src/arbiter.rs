@@ -331,7 +331,7 @@ mod tests {
     /// executed-energy comparison — which additionally depends on how
     /// well the energy model tracks the device's ground truth — is
     /// gated on the pinned scenario suite with the *fitted* model
-    /// (`tests/stream.rs`, `bench_snapshot --check-stream`).
+    /// (`tests/stream.rs`, `repro stream --check`).
     #[test]
     fn arbitrated_plan_dominates_baselines_in_prediction_with_zero_misses() {
         let model = toy_model();

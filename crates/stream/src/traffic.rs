@@ -8,13 +8,13 @@
 //! measured under.
 //!
 //! Like the fault injector (`tk1_sim::faults`), the generator keeps no
-//! RNG state: every field of request `k` is a [`mix64`] hash of
-//! `(seed, salt, k)`.  The stream is therefore a pure function of its
+//! RNG state: every field of request `k` is a [`keyed_unit`] draw
+//! keyed by `(seed, salt, k)`.  The stream is therefore a pure function of its
 //! config — bitwise identical at any thread count, and any request can
 //! be re-derived in isolation — which is what lets the bench digest a
 //! whole scenario and compare it across 1/2/4/8 threads.
 
-use tk1_sim::mix64;
+use compat::rng::keyed_unit;
 
 // Hash channels, one per decision kind.
 const SALT_GAP: u64 = 11;
@@ -71,8 +71,7 @@ pub struct StreamRequest {
 impl TrafficConfig {
     /// A uniform draw in `[0, 1)` keyed by `(salt, k)`.
     fn unit(&self, salt: u64, k: u64) -> f64 {
-        let h = mix64(self.seed ^ mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix64(k)));
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        keyed_unit(self.seed, salt, k)
     }
 
     /// Generates the first `count` requests of the stream.

@@ -51,7 +51,8 @@
 //! → the default profile; comma-separated `key=value` overrides, plus
 //! `seed=N`.
 
-use crate::faults::{mix64, parse_spec, FaultConfig, FaultRates, SpecField};
+use crate::faults::{parse_spec, FaultConfig, FaultRates, SpecField};
+use compat::rng::{keyed_unit, mix64};
 use std::time::Duration;
 
 /// Per-mechanism chaos probabilities (each an independent draw per
@@ -197,8 +198,7 @@ impl ChaosInjector {
 
     /// Uniform draw in `[0, 1)` keyed by (mechanism salt, subject).
     fn unit(&self, salt: u64, subject: u64) -> f64 {
-        let h = mix64(self.key ^ mix64(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ mix64(subject)));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        keyed_unit(self.key, salt, subject)
     }
 
     /// The worker-side fate of one (request, attempt).  `subject` is

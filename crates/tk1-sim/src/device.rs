@@ -97,16 +97,6 @@ impl Device {
         d
     }
 
-    /// A noiseless variant of a catalog device (its own constants, all
-    /// structural noise removed).
-    pub fn ideal_on(spec: &Arc<DeviceSpec>, seed: u64) -> Self {
-        let mut d = Device::from_spec(spec, seed);
-        d.truth = spec.truth.idealized();
-        d.time_jitter_rel = 0.0;
-        d.activity_noise_rel = 0.0;
-        d
-    }
-
     /// The catalog descriptor this device was instantiated from.
     pub fn spec(&self) -> &Arc<DeviceSpec> {
         &self.spec

@@ -34,6 +34,7 @@
 //! ```
 
 use crate::dvfs::{core_points, mem_points, Setting};
+use compat::rng::{keyed_unit_pair, mix64};
 
 /// Per-mechanism fault rates.  All `*_rate` fields are probabilities per
 /// draw (per ADC sample, per execution, or per latch attempt).
@@ -264,15 +265,7 @@ impl FaultInjector {
 
     /// A uniform draw in `[0, 1)` keyed by `(salt, a, b)`.
     fn unit(&self, salt: u64, a: u64, b: u64) -> f64 {
-        let h = mix64(
-            self.key
-                ^ mix64(
-                    salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ mix64(a)
-                        ^ mix64(b.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
-                ),
-        );
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        keyed_unit_pair(self.key, salt, a, b)
     }
 
     /// Corrupts one ADC sample.  Returns `None` when the sample is
@@ -373,21 +366,6 @@ fn neighbor_setting(s: Setting, u: f64, n_core: usize, n_mem: usize) -> Setting 
     // Constructed directly: `Setting::new` validates against the TK1
     // tables, while these indices live in the caller's device grid.
     Setting { core_idx: core, mem_idx: mem }
-}
-
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
-///
-/// Public because every stateless hash-keyed subsystem (the fault
-/// injector, the chaos layer, the streaming traffic generator) keys its
-/// decisions off this same function — a decision is a hash of
-/// `(seed, salt, subject)`, never of shared mutable state, which is
-/// what makes those subsystems bitwise-reproducible at any thread or
-/// shard count.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -163,20 +163,6 @@ impl TruthConstants {
         self.constant_power_at(&setting.operating_point(), dynamic_power_w)
     }
 
-    /// True dynamic energy of a whole op vector at an operating point, J.
-    pub fn dynamic_energy_at(
-        &self,
-        ops: &OpVector,
-        op: &OperatingPoint,
-        core_fmax_mhz: f64,
-        mem_fmax_mhz: f64,
-    ) -> f64 {
-        ALL_CLASSES
-            .iter()
-            .map(|&c| ops.get(c) * self.energy_per_op_at(c, op, core_fmax_mhz, mem_fmax_mhz))
-            .sum()
-    }
-
     /// True dynamic energy of a whole op vector at a TK1 `setting`, J.
     pub fn dynamic_energy_j(&self, ops: &OpVector, setting: Setting) -> f64 {
         ALL_CLASSES.iter().map(|&c| ops.get(c) * self.energy_per_op_j(c, setting)).sum()
