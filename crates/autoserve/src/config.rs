@@ -1,4 +1,5 @@
-//! Server configuration and its `FMM_ENERGY_SERVE_*` environment knobs.
+//! Server configuration: shards, queues, caches, faults, chaos, breaker
+//! and supervision.
 
 use crate::breaker::BreakerConfig;
 use std::path::PathBuf;
@@ -7,24 +8,17 @@ use tk1_sim::{ChaosConfig, FaultConfig};
 /// Shard supervision knobs (see DESIGN.md §13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
-    /// Whether the supervisor thread runs at all.  Off, a dead shard
-    /// stays dead until shutdown (which still drains its queue).
-    pub enabled: bool,
     /// Supervisor poll period.  Short enough that a respawn lands well
     /// inside a client's retry backoff.
     pub poll_ms: u64,
     /// A shard whose heartbeat hasn't moved for this long while its
     /// queue is non-empty is declared stalled and gets a helper worker.
     pub stall_timeout_ms: u64,
-    /// Helper workers the supervisor may add per shard over the server's
-    /// lifetime — a bounded budget so a pathological shard can't leak
-    /// threads.
-    pub stall_budget: usize,
 }
 
 impl Default for SupervisionConfig {
     fn default() -> Self {
-        SupervisionConfig { enabled: true, poll_ms: 2, stall_timeout_ms: 2000, stall_budget: 2 }
+        SupervisionConfig { poll_ms: 2, stall_timeout_ms: 2000 }
     }
 }
 
@@ -49,10 +43,9 @@ pub struct ServeConfig {
     /// Fault campaign the server's sweeps and devices run under.
     /// Explicit so tests can pin it regardless of `FMM_ENERGY_FAULTS`.
     pub faults: Option<FaultConfig>,
-    /// Service-scope chaos injection (`None` = clean service; the
-    /// default honours `FMM_ENERGY_CHAOS`).  Chaos is stateless and
-    /// hash-keyed, so the same config produces the same event set at
-    /// any shard count.
+    /// Service-scope chaos injection (`None` = clean service, the
+    /// default).  Chaos is stateless and hash-keyed, so the same config
+    /// produces the same event set at any shard count.
     pub chaos: Option<ChaosConfig>,
     /// Per-(device × fault-profile) circuit breaker knobs.
     pub breaker: BreakerConfig,
@@ -69,47 +62,10 @@ impl Default for ServeConfig {
             cache_capacity: 32,
             cache_dir: None,
             faults: FaultConfig::from_env(),
-            chaos: ChaosConfig::from_env(),
+            chaos: None,
             breaker: BreakerConfig::default(),
             supervision: SupervisionConfig::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// The default config with every `FMM_ENERGY_SERVE_*` override
-    /// applied (see README's environment table):
-    ///
-    /// * `FMM_ENERGY_SERVE_SHARDS` — shard worker threads
-    /// * `FMM_ENERGY_SERVE_QUEUE` — per-shard queue capacity
-    /// * `FMM_ENERGY_SERVE_BATCH` — max requests per batch
-    /// * `FMM_ENERGY_SERVE_CACHE` — in-memory rigs per shard
-    /// * `FMM_ENERGY_SERVE_CACHE_DIR` — on-disk model cache directory
-    /// * `FMM_ENERGY_SERVE_STALL_MS` — supervisor stall timeout
-    ///
-    /// (`FMM_ENERGY_CHAOS` is read by [`ChaosConfig::from_env`], which
-    /// the `Default` impl already consults.)
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = compat::env::positive_usize("FMM_ENERGY_SERVE_SHARDS") {
-            cfg.shards = v;
-        }
-        if let Some(v) = compat::env::positive_usize("FMM_ENERGY_SERVE_QUEUE") {
-            cfg.queue_capacity = v;
-        }
-        if let Some(v) = compat::env::positive_usize("FMM_ENERGY_SERVE_BATCH") {
-            cfg.batch_max = v;
-        }
-        if let Some(v) = compat::env::positive_usize("FMM_ENERGY_SERVE_CACHE") {
-            cfg.cache_capacity = v;
-        }
-        if let Some(dir) = compat::env::raw("FMM_ENERGY_SERVE_CACHE_DIR") {
-            cfg.cache_dir = Some(PathBuf::from(dir));
-        }
-        if let Some(v) = compat::env::positive_usize("FMM_ENERGY_SERVE_STALL_MS") {
-            cfg.supervision.stall_timeout_ms = v as u64;
-        }
-        cfg
     }
 }
 
@@ -124,7 +80,6 @@ mod tests {
         assert!(cfg.queue_capacity >= cfg.batch_max);
         assert!(cfg.cache_capacity >= 1);
         assert!(cfg.cache_dir.is_none());
-        assert!(cfg.supervision.enabled);
         assert!(cfg.breaker.ladder);
     }
 }

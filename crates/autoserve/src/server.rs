@@ -57,6 +57,10 @@ use tk1_sim::{catalog, ChaosConfig, ChaosInjector, FaultConfig, WorkerEvent};
 const LOWER_CACHE_CAPACITY: usize = 16;
 /// Degraded-ladder rigs (stale/sibling) each worker keeps around.
 const FALLBACK_CACHE_CAPACITY: usize = 8;
+/// Helper workers the supervisor may add per shard over the server's
+/// lifetime — a bounded budget so a pathological shard can't leak
+/// threads.
+const STALL_BUDGET: usize = 2;
 
 /// One server's count of live shard worker threads.  Every server has
 /// its own, so a test can assert its server drained every worker at
@@ -258,7 +262,7 @@ pub struct AutoServer {
     senders: Vec<Sender<Job>>,
     ctxs: Vec<ShardCtx>,
     registry: Registry,
-    supervisor: Option<JoinHandle<SupervisorReport>>,
+    supervisor: JoinHandle<SupervisorReport>,
     stop: Arc<AtomicBool>,
     faults: Option<FaultConfig>,
     rejected: AtomicUsize,
@@ -266,8 +270,8 @@ pub struct AutoServer {
 }
 
 impl AutoServer {
-    /// Starts the shard workers (and the supervisor, when enabled) and
-    /// returns the running server.
+    /// Starts the shard workers and the supervisor and returns the
+    /// running server.
     pub fn start(cfg: ServeConfig) -> AutoServer {
         let shards = cfg.shards.max(1);
         let registry: Registry = Arc::new(Mutex::new(Vec::with_capacity(shards)));
@@ -293,7 +297,7 @@ impl AutoServer {
             spawn_worker(ctx.clone(), &registry);
             ctxs.push(ctx);
         }
-        let supervisor = cfg.supervision.enabled.then(|| {
+        let supervisor = {
             let ctxs = ctxs.clone();
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
@@ -302,7 +306,7 @@ impl AutoServer {
                 .name("autoserve-supervisor".to_string())
                 .spawn(move || supervise(ctxs, registry, stop, sup))
                 .expect("spawning the supervisor thread")
-        });
+        };
         AutoServer {
             senders,
             ctxs,
@@ -368,11 +372,9 @@ impl AutoServer {
         self.stop.store(true, Ordering::SeqCst);
         let mut stats =
             ServerStats { rejected: self.rejected.into_inner(), ..ServerStats::default() };
-        if let Some(handle) = self.supervisor {
-            if let Ok(sup) = handle.join() {
-                stats.respawns += sup.respawns;
-                stats.stall_respawns += sup.stall_respawns;
-            }
+        if let Ok(sup) = self.supervisor.join() {
+            stats.respawns += sup.respawns;
+            stats.stall_respawns += sup.stall_respawns;
         }
         drop(self.senders);
         loop {
@@ -440,7 +442,7 @@ fn supervise(
     let mut report = SupervisorReport::default();
     let mut last: Vec<(u64, Instant)> =
         ctxs.iter().map(|c| (c.health.beats.load(Ordering::Relaxed), Instant::now())).collect();
-    let mut stall_budget: Vec<usize> = vec![sup.stall_budget; ctxs.len()];
+    let mut stall_budget: Vec<usize> = vec![STALL_BUDGET; ctxs.len()];
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(sup.poll_ms.max(1)));
         for (i, ctx) in ctxs.iter().enumerate() {

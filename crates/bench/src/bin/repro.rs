@@ -12,8 +12,9 @@
 //! table and, for the six artifacts committed as `BENCH_*.json`,
 //! returns the JSON document: `--out FILE` writes it, and `--check
 //! FILE` runs the entry's [`Check`] on a file instead of the
-//! experiment.  A malformed option is a usage error (exit 2); a failed
-//! run or check exits 1.
+//! experiment.  A malformed option, or one the chosen artifacts have
+//! no use for, is a usage error (exit 2); a failed run or check exits
+//! 1.
 //!
 //! `--scale-shift K` divides every FMM problem size by `2^K` (profiles
 //! only; the pipeline is identical).  The default 0 reproduces the
@@ -113,7 +114,7 @@ static ARTIFACTS: [Artifact; 23] = [
     bench(
         "fmm-scaling",
         "FMM evaluate over the 1/2/4/8-thread grid (--sizes, default\n\
-         8192,32768; --reps, default FMM_ENERGY_BENCH_REPS or 3)",
+         8192,32768; --reps, default 3)",
         fmm_scaling,
         check::FMM,
     ),
@@ -127,7 +128,7 @@ static ARTIFACTS: [Artifact; 23] = [
     bench(
         "stream",
         "streaming engine: particle drift, bursty traffic and multi-tenant\n\
-         arbitration at 1/2/4/8 threads (FMM_ENERGY_STREAM knobs apply)",
+         arbitration at 1/2/4/8 threads",
         stream,
         check::STREAM,
     ),
@@ -248,6 +249,13 @@ fn select(name: &str, args: &[String]) -> Result<(Vec<&'static Artifact>, Opts),
         .collect();
     if chosen.is_empty() {
         return Err(format!("unknown artifact '{name}'"));
+    }
+    let only = |names: &[&str]| chosen.iter().all(|a| names.contains(&a.name));
+    if opts.requests.is_some() && !only(&["service", "chaos"]) {
+        return Err(format!("'{name}' has no use for --requests"));
+    }
+    if (opts.reps.is_some() || opts.sizes.is_some()) && !only(&["fmm-scaling"]) {
+        return Err(format!("'{name}' has no use for --reps or --sizes"));
     }
     let check = match chosen.as_slice() {
         [a] => a.check,
@@ -729,15 +737,14 @@ fn governors(ctx: &mut Context) -> Outcome {
 }
 
 fn governor(ctx: &mut Context) -> Outcome {
-    use dvfs_governor::GovernorConfig;
+    use dvfs_bench::GOVERNOR_ROUNDS;
     use tk1_sim::FaultConfig;
     let model = ctx.model()?;
     let (seed, scale_shift) = (ctx.seed, ctx.scale_shift);
-    let cfg = GovernorConfig::from_env();
     let faults = FaultConfig::from_env();
     let profiles = ctx.profiles();
-    eprintln!("[repro] running governor policy comparison ({} rounds/input) ...", cfg.rounds);
-    let cases = dvfs_bench::governor_comparison(&model, profiles, &cfg, seed, faults.as_ref());
+    eprintln!("[repro] running governor policy comparison ({GOVERNOR_ROUNDS} rounds/input) ...");
+    let cases = dvfs_bench::governor_comparison(&model, profiles, seed, faults.as_ref());
     let mut body = Vec::new();
     for c in &cases {
         body.push(vec![
@@ -794,7 +801,7 @@ fn governor(ctx: &mut Context) -> Outcome {
     Ok(Some(Json::obj([
         ("benchmark", Json::Str("governor_policies".to_string())),
         ("scale_shift", Json::Num(scale_shift as f64)),
-        ("rounds", Json::Num(cfg.rounds as f64)),
+        ("rounds", Json::Num(GOVERNOR_ROUNDS as f64)),
         ("threads", Json::Num(compat::par::num_threads() as f64)),
         ("cases", Json::Arr(case_docs.collect())),
     ])))
@@ -900,7 +907,7 @@ fn stream(ctx: &mut Context) -> Outcome {
     use dvfs_bench::{stream_bench, stream_to_json};
     use dvfs_stream::StreamConfig;
     let model = ctx.model()?;
-    let cfg = StreamConfig::from_env();
+    let cfg = StreamConfig::default();
     eprintln!(
         "[repro] streaming suite: {} drift steps, {} requests, gap {}x, slack {}x, threads {:?} ...",
         cfg.steps, cfg.requests, cfg.gap_scale, cfg.deadline_slack, DEFAULT_THREAD_GRID
@@ -1209,8 +1216,8 @@ fn chaos(ctx: &mut Context) -> Outcome {
 }
 
 fn fmm_scaling(ctx: &mut Context) -> Outcome {
-    use dvfs_bench::scaling::{reps_from_env, scaling_grid, DEFAULT_SIZES};
-    let reps = ctx.opts.reps.unwrap_or_else(|| reps_from_env(3));
+    use dvfs_bench::scaling::{scaling_grid, DEFAULT_SIZES};
+    let reps = ctx.opts.reps.unwrap_or(3);
     let sizes = ctx.opts.sizes.clone().unwrap_or_else(|| DEFAULT_SIZES.to_vec());
     eprintln!(
         "[repro] FMM thread-scaling grid: sizes {sizes:?} x threads {DEFAULT_THREAD_GRID:?}, \

@@ -18,11 +18,16 @@
 use dvfs_energy_model::experiments::{FmmInput, SYSTEM_SETTINGS};
 use dvfs_energy_model::EnergyModel;
 use dvfs_governor::{
-    FixedSetting, GovernorConfig, GovernorReport, GovernorRuntime, Oracle, PerPhaseAdaptive,
-    PerPhaseModel, Policy, RaceToHalt, StaticBest, Workload,
+    FixedSetting, GovernorReport, GovernorRuntime, Oracle, PerPhaseAdaptive, PerPhaseModel, Policy,
+    RaceToHalt, StaticBest, Workload,
 };
 use kifmm::FmmProfile;
 use tk1_sim::{FaultConfig, Setting};
+
+/// Times each input's phase sequence is repeated per run.  More rounds
+/// give the adaptive policy more feedback to converge on; every policy
+/// is compared over the same round count.
+pub const GOVERNOR_ROUNDS: usize = 4;
 
 /// One policy's totals for one FMM input.
 #[derive(Debug, Clone)]
@@ -85,7 +90,6 @@ impl GovernorCase {
 pub fn governor_comparison(
     model: &EnergyModel,
     profiles: &[(FmmInput, FmmProfile)],
-    cfg: &GovernorConfig,
     seed: u64,
     faults: Option<&FaultConfig>,
 ) -> Vec<GovernorCase> {
@@ -95,7 +99,7 @@ pub fn governor_comparison(
         .enumerate()
         .map(|(i, (input, profile))| {
             let case_seed = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let workload = Workload::from_profile(profile, cfg.rounds);
+            let workload = Workload::from_profile(profile, GOVERNOR_ROUNDS);
             let runtime =
                 || GovernorRuntime::new(model.clone(), candidates.clone(), case_seed, faults);
 
@@ -119,7 +123,7 @@ pub fn governor_comparison(
                 Box::new(StaticBest::new()),
                 Box::new(RaceToHalt),
                 Box::new(PerPhaseModel::new()),
-                Box::new(PerPhaseAdaptive::from_config(cfg)),
+                Box::new(PerPhaseAdaptive::new(0.5, 0.03)),
             ];
             for policy in named.iter_mut() {
                 let mut rt = runtime();
@@ -154,7 +158,7 @@ mod tests {
     fn cases(faults: Option<&FaultConfig>) -> Vec<GovernorCase> {
         let model = fitted();
         let profiles = fmm_profiles(6, 7);
-        governor_comparison(&model, &profiles, &GovernorConfig::default(), 0xC0DE, faults)
+        governor_comparison(&model, &profiles, 0xC0DE, faults)
     }
 
     #[test]
@@ -196,8 +200,7 @@ mod tests {
         // Two inputs keep the 4× repetition affordable; the full-size
         // comparison runs through the identical code path.
         let profiles: Vec<_> = fmm_profiles(6, 7).into_iter().take(2).collect();
-        let run =
-            || governor_comparison(&model, &profiles, &GovernorConfig::default(), 0xC0DE, None);
+        let run = || governor_comparison(&model, &profiles, 0xC0DE, None);
         let reference = run();
         for threads in [1usize, 2, 4, 8] {
             compat::par::set_thread_count(Some(threads));

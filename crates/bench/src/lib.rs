@@ -19,7 +19,7 @@ pub mod stream;
 pub use fleet::{
     fleet_report, fleet_to_json, FleetDeviceRow, FleetPick, FleetReport, FleetTransferRow,
 };
-pub use governor::{governor_comparison, GovernorCase, PolicyOutcome};
+pub use governor::{governor_comparison, GovernorCase, PolicyOutcome, GOVERNOR_ROUNDS};
 pub use pipeline::{
     fig4_breakdown, fig5_validation, fig6_energy_breakdown, fig7_buckets, fitted_model,
     fmm_profiles, observations, prefetch_scan, table1_rows, table2_outcomes, try_fitted_model,

@@ -477,7 +477,6 @@ mod tests {
             kinds: vec![MicrobenchKind::SinglePrecision, MicrobenchKind::L2],
             trials: 1,
             seed: 0xFA17,
-            threads: 0,
             faults: Some(FaultConfig::default_campaign()),
             device: tk1_sim::catalog::tk1(),
         };

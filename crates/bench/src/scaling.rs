@@ -15,8 +15,8 @@
 //! one, so a snapshot taken under `FMM_ENERGY_THREADS` or on a smaller
 //! machine says what actually ran.
 
+use compat::par;
 use compat::rng::StdRng;
-use compat::{env, par};
 use kifmm::evaluator::{FmmPlan, M2lMethod};
 use kifmm::{FmmEvaluator, PhaseTimings};
 
@@ -27,16 +27,6 @@ pub const DEFAULT_THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
 /// Problem sizes `repro fmm-scaling` measures by default; the committed
 /// `BENCH_fmm.json` adds `262_144` and `1_048_576` through `--sizes`.
 pub const DEFAULT_SIZES: [usize; 2] = [8_192, 32_768];
-
-/// Environment override for the repetition count (a positive integer);
-/// an explicit `--reps` flag still wins over it.
-pub const REPS_ENV: &str = "FMM_ENERGY_BENCH_REPS";
-
-/// Resolves the repetition count: `FMM_ENERGY_BENCH_REPS` if set and
-/// positive, else `fallback`.
-pub fn reps_from_env(fallback: usize) -> usize {
-    env::positive_usize(REPS_ENV).unwrap_or(fallback)
-}
 
 /// One measured `(n, threads)` grid point.
 #[derive(Debug, Clone)]
@@ -149,18 +139,6 @@ mod tests {
         assert_ne!(a, potential_digest(&[2.0, 1.0, 3.0]), "order matters");
         assert_ne!(a, potential_digest(&[1.0, 2.0]), "length matters");
         assert_ne!(potential_digest(&[0.0]), potential_digest(&[-0.0]), "bit patterns, not values");
-    }
-
-    #[test]
-    fn reps_env_overrides_fallback() {
-        // The only test touching FMM_ENERGY_BENCH_REPS; keep it that way.
-        std::env::remove_var(REPS_ENV);
-        assert_eq!(reps_from_env(7), 7);
-        std::env::set_var(REPS_ENV, "3");
-        assert_eq!(reps_from_env(7), 3);
-        std::env::set_var(REPS_ENV, "0");
-        assert_eq!(reps_from_env(7), 7, "non-positive values fall back");
-        std::env::remove_var(REPS_ENV);
     }
 
     #[test]

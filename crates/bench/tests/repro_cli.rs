@@ -57,6 +57,11 @@ fn bad_options_are_usage_errors() {
         &["fmm-scaling", "--sizes", "8192,x"],
         &["table4", "--check", "f"],
         &["governor", "--check", "f", "--baseline", "g"],
+        &["table4", "--requests", "5"],
+        &["stream", "--requests", "5"],
+        &["table1", "--sizes", "8192"],
+        &["fmm-scaling", "--requests", "5"],
+        &["governor", "--reps", "9", "--scale-shift", "6"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");

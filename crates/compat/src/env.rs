@@ -44,13 +44,6 @@ pub fn positive_usize(name: &str) -> Option<usize> {
     parse::<usize>(name).filter(|&n| n > 0)
 }
 
-/// `name` as a finite float in `[lo, hi]`; out-of-range values are
-/// ignored rather than clamped, so a typo can't silently pin a knob to
-/// an extreme.
-pub fn float_in(name: &str, lo: f64, hi: f64) -> Option<f64> {
-    parse::<f64>(name).filter(|v| v.is_finite() && *v >= lo && *v <= hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,13 +71,6 @@ mod tests {
         std::env::set_var(name, "banana");
         assert_eq!(positive_usize(name), None);
         assert_eq!(parse::<f64>(name), None);
-
-        std::env::set_var(name, "0.25");
-        assert_eq!(float_in(name, 0.0, 1.0), Some(0.25));
-        assert_eq!(float_in(name, 0.5, 1.0), None, "out-of-range ignored, not clamped");
-
-        std::env::set_var(name, "NaN");
-        assert_eq!(float_in(name, 0.0, 1.0), None, "non-finite ignored");
 
         std::env::remove_var(name);
     }

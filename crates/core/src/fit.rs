@@ -34,6 +34,16 @@ pub const NUM_COLUMNS: usize = 9;
 pub const COLUMN_NAMES: [&str; NUM_COLUMNS] =
     ["c0_sp", "c0_dp", "c0_int", "c0_sm_l1", "c0_l2", "c0_dram", "c1_proc", "c1_mem", "p_misc"];
 
+/// MAD multiples beyond which a row counts as an outlier (with
+/// [`FitOptions::reject_row_outliers`]).
+const OUTLIER_CUTOFF: f64 = 6.0;
+/// Condition-estimate threshold above which (near-)collinear columns
+/// are dropped before the NNLS solve.
+const CONDITION_LIMIT: f64 = 1e10;
+/// Tikhonov parameter of the ridge fallback used when the plain solve
+/// still fails (applied to the column-scaled design).
+const RIDGE_LAMBDA: f64 = 1e-8;
+
 /// A warm-start prior for cross-device model transfer: the fitted
 /// constants of a sibling device, folded into the solve as
 /// pseudo-observations.
@@ -64,14 +74,6 @@ pub struct FitOptions {
     /// without them.  Off by default so fault-free fits are bitwise
     /// identical to the unhardened estimator.
     pub reject_row_outliers: bool,
-    /// MAD multiples beyond which a row counts as an outlier.
-    pub outlier_cutoff: f64,
-    /// Condition-estimate threshold above which (near-)collinear columns
-    /// are dropped before the NNLS solve.
-    pub condition_limit: f64,
-    /// Tikhonov parameter of the ridge fallback used when the plain
-    /// solve still fails (applied to the column-scaled design).
-    pub ridge_lambda: f64,
     /// The device the samples were measured on; resolves settings into
     /// operating points for the design rows and predictions.
     pub device: Arc<DeviceSpec>,
@@ -81,14 +83,7 @@ pub struct FitOptions {
 
 impl Default for FitOptions {
     fn default() -> Self {
-        FitOptions {
-            reject_row_outliers: false,
-            outlier_cutoff: 6.0,
-            condition_limit: 1e10,
-            ridge_lambda: 1e-8,
-            device: tk1_sim::catalog::tk1(),
-            prior: None,
-        }
+        FitOptions { reject_row_outliers: false, device: tk1_sim::catalog::tk1(), prior: None }
     }
 }
 
@@ -209,7 +204,7 @@ pub fn try_fit_model<'a>(
 /// 1. **Identifiability** — fewer than [`NUM_COLUMNS`] samples is an
 ///    immediate [`PipelineError::InsufficientData`].
 /// 2. **Column screen** — a QR condition estimate of the column-scaled
-///    design; above `condition_limit` the (near-)collinear columns are
+///    design; above `CONDITION_LIMIT` the (near-)collinear columns are
 ///    dropped and reported with zero coefficients.
 /// 3. **NNLS** — the plain Lawson–Hanson solve.
 /// 4. **Ridge fallback** — if the plain solve still fails (singular or
@@ -249,7 +244,7 @@ pub fn try_fit_model_with<'a>(
             .collect();
         let med = median(&rels);
         let mad = median(&rels.iter().map(|r| (r - med).abs()).collect::<Vec<_>>());
-        let width = (options.outlier_cutoff * 1.4826 * mad).max(0.05);
+        let width = (OUTLIER_CUTOFF * 1.4826 * mad).max(0.05);
         let keep: Vec<&Sample> = samples
             .iter()
             .zip(&rels)
@@ -375,8 +370,8 @@ fn solve_rows(
     let scaled = Matrix::from_vec(b.len(), NUM_COLUMNS, sdata);
     let qr = QrFactorization::new(&scaled)?;
     diagnostics.condition_estimate = qr.condition_estimate();
-    if diagnostics.condition_estimate > options.condition_limit {
-        diagnostics.dropped_columns = qr.small_diagonal_columns(1.0 / options.condition_limit);
+    if diagnostics.condition_estimate > CONDITION_LIMIT {
+        diagnostics.dropped_columns = qr.small_diagonal_columns(1.0 / CONDITION_LIMIT);
         if !diagnostics.dropped_columns.is_empty() {
             let names: Vec<&str> =
                 diagnostics.dropped_columns.iter().map(|&j| COLUMN_NAMES[j]).collect();
@@ -403,12 +398,12 @@ fn solve_rows(
             e @ (dvfs_linalg::LinalgError::Singular(_)
             | dvfs_linalg::LinalgError::NoConvergence { .. }),
         ) => {
-            diagnostics.ridge_lambda = Some(options.ridge_lambda);
+            diagnostics.ridge_lambda = Some(RIDGE_LAMBDA);
             diagnostics.notes.push(format!(
                 "plain NNLS failed ({e}); fell back to ridge λ={:.1e}",
-                options.ridge_lambda
+                RIDGE_LAMBDA
             ));
-            nnls_ridge(&work, &b, options.ridge_lambda, &NnlsOptions::default())?
+            nnls_ridge(&work, &b, RIDGE_LAMBDA, &NnlsOptions::default())?
         }
         Err(e) => return Err(e.into()),
     };

@@ -40,11 +40,9 @@ pub mod autotune;
 pub mod bootstrap;
 pub mod breakdown;
 pub mod crossval;
-pub mod diagnostics;
 pub mod experiments;
 pub mod fit;
 pub mod model;
-pub mod pareto;
 pub mod roofline;
 pub mod service;
 pub mod stats;
@@ -58,13 +56,11 @@ pub use autotune::{
 pub use bootstrap::{bootstrap_fit, BootstrapReport, Interval};
 pub use breakdown::{BreakdownReport, EnergyShare};
 pub use crossval::{holdout_validation, leave_one_setting_out, ValidationReport};
-pub use diagnostics::{mean_abs_error, DiagnosticReport};
 pub use fit::{
     fit_model, predict_on, try_fit_model, try_fit_model_with, FitDiagnostics, FitOptions, FitPrior,
     FitReport,
 };
 pub use model::{EnergyModel, ModelBreakdown};
-pub use pareto::{OperatingPointMeasure, TradeoffAnalysis};
 pub use roofline::EnergyRoofline;
 pub use service::{
     best_index, conservative_grid, predict_grid, service_grid, service_grid_for,

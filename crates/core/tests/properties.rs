@@ -116,31 +116,4 @@ proptest! {
         prop_assert!(stats.min_pct >= 0.0);
         prop_assert_eq!(stats.count, errors.len());
     }
-
-    #[test]
-    fn pareto_frontier_contains_no_dominated_point(
-        times in compat::prop::collection::vec(0.1f64..10.0, 2..40),
-        energies in compat::prop::collection::vec(0.1f64..10.0, 2..40),
-    ) {
-        use dvfs_energy_model::{OperatingPointMeasure, TradeoffAnalysis};
-        let n = times.len().min(energies.len());
-        let points: Vec<OperatingPointMeasure> = (0..n)
-            .map(|i| OperatingPointMeasure {
-                setting: Setting::new(i % 15, i % 7),
-                time_s: times[i],
-                energy_j: energies[i],
-            })
-            .collect();
-        let analysis = TradeoffAnalysis::new(points.clone());
-        let frontier = analysis.pareto_frontier();
-        prop_assert!(!frontier.is_empty());
-        for f in &frontier {
-            for p in &points {
-                let dominates = p.time_s <= f.time_s
-                    && p.energy_j <= f.energy_j
-                    && (p.time_s < f.time_s || p.energy_j < f.energy_j);
-                prop_assert!(!dominates, "frontier point {f:?} dominated by {p:?}");
-            }
-        }
-    }
 }

@@ -20,12 +20,10 @@
 
 pub mod cache;
 pub mod events;
-pub mod metrics;
 pub mod profile;
 pub mod registry;
 
 pub use cache::{AccessOutcome, CacheConfig, CacheSim};
 pub use events::{CounterEvent, CounterKind, TABLE3_EVENTS};
-pub use metrics::DerivedMetrics;
 pub use profile::derive_op_vector;
 pub use registry::CounterSet;

@@ -57,42 +57,3 @@ pub use policy::{
 };
 pub use runtime::{GovernorReport, GovernorRuntime, PhaseRecord, PhaseTask, Workload};
 pub use transition::{TransitionCost, TransitionModel};
-
-/// Tunable governor knobs, with `FMM_ENERGY_GOV_*` env overrides.
-#[derive(Debug, Clone, Copy)]
-pub struct GovernorConfig {
-    /// Times the phase sequence is repeated per run.  More rounds give
-    /// the adaptive policy more feedback to converge on; every policy
-    /// is compared over the same round count.
-    pub rounds: usize,
-    /// EWMA weight of the newest measured/predicted energy ratio in
-    /// [`PerPhaseAdaptive`]'s per-phase bias estimator, in `[0, 1]`.
-    pub alpha: f64,
-    /// Relative improvement a challenger setting must show over the
-    /// incumbent before [`PerPhaseAdaptive`] switches — the hysteresis
-    /// that keeps it from thrashing across latch-failure episodes.
-    pub hysteresis: f64,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig { rounds: 4, alpha: 0.5, hysteresis: 0.03 }
-    }
-}
-
-impl GovernorConfig {
-    /// The defaults, overridden by `FMM_ENERGY_GOV_ROUNDS` (positive
-    /// integer), `FMM_ENERGY_GOV_ALPHA` (in `[0, 1]`) and
-    /// `FMM_ENERGY_GOV_HYSTERESIS` (in `[0, 0.5]`).  Malformed or
-    /// out-of-range values fall back to the defaults (see
-    /// [`compat::env`]).
-    pub fn from_env() -> Self {
-        let d = GovernorConfig::default();
-        GovernorConfig {
-            rounds: compat::env::positive_usize("FMM_ENERGY_GOV_ROUNDS").unwrap_or(d.rounds),
-            alpha: compat::env::float_in("FMM_ENERGY_GOV_ALPHA", 0.0, 1.0).unwrap_or(d.alpha),
-            hysteresis: compat::env::float_in("FMM_ENERGY_GOV_HYSTERESIS", 0.0, 0.5)
-                .unwrap_or(d.hysteresis),
-        }
-    }
-}

@@ -482,8 +482,10 @@ pub struct PerPhaseAdaptive {
 const BIAS_CLAMP: (f64, f64) = (0.25, 4.0);
 
 impl PerPhaseAdaptive {
-    /// Creates the policy with the given EWMA weight and hysteresis
-    /// margin (see [`crate::GovernorConfig`]).
+    /// Creates the policy with the given EWMA weight (of the newest
+    /// measured/predicted energy ratio, in `[0, 1]`) and hysteresis
+    /// margin (the relative improvement a challenger setting must show
+    /// over the incumbent before the policy switches).
     pub fn new(alpha: f64, hysteresis: f64) -> Self {
         PerPhaseAdaptive {
             alpha,
@@ -493,11 +495,6 @@ impl PerPhaseAdaptive {
             rounds: 0,
             incumbent: Vec::new(),
         }
-    }
-
-    /// Creates the policy from a [`crate::GovernorConfig`].
-    pub fn from_config(cfg: &crate::GovernorConfig) -> Self {
-        Self::new(cfg.alpha, cfg.hysteresis)
     }
 
     /// The current bias estimate for phase `phase_idx` (1 = unbiased).

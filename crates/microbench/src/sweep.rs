@@ -67,11 +67,6 @@ pub struct SweepConfig {
     pub trials: usize,
     /// Master seed for device and meter noise.
     pub seed: u64,
-    /// Advisory worker count, kept for configuration compatibility; the
-    /// sweep now runs on the persistent workspace pool, whose size is
-    /// fixed at startup.  Results are independent of parallelism either
-    /// way (per-setting seeding).
-    pub threads: usize,
     /// Fault-injection campaign, if any.  `None` (the fault-free
     /// default when `FMM_ENERGY_FAULTS` is unset) reproduces the
     /// unhardened sweep bit for bit.
@@ -89,7 +84,6 @@ impl Default for SweepConfig {
             kinds: MicrobenchKind::ALL.to_vec(),
             trials: 1,
             seed: 0xA11C_E5ED,
-            threads: 0,
             faults: FaultConfig::from_env(),
             device: tk1_sim::catalog::tk1(),
         }
@@ -118,7 +112,6 @@ impl SweepConfig {
             kinds: MicrobenchKind::ALL.to_vec(),
             trials: 1,
             seed,
-            threads: 0,
             faults,
             device: tk1_sim::catalog::tk1(),
         }
@@ -134,7 +127,6 @@ impl SweepConfig {
             kinds: MicrobenchKind::ALL.to_vec(),
             trials: 1,
             seed,
-            threads: 0,
             faults,
             device: device.clone(),
         }
@@ -380,7 +372,6 @@ mod tests {
             kinds: vec![MicrobenchKind::SharedMemory, MicrobenchKind::L2],
             trials: 1,
             seed: 7,
-            threads: 2,
             faults: None,
             device: tk1_sim::catalog::tk1(),
         }
@@ -411,13 +402,15 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let mut cfg = small_config();
-        cfg.threads = 1;
+        // The only test in this crate that sets the process-global pool
+        // width.
+        let cfg = small_config();
+        compat::par::set_thread_count(Some(1));
         let serial = run_sweep(&cfg);
-        cfg.threads = 3;
+        compat::par::set_thread_count(Some(3));
         let parallel = run_sweep(&cfg);
-        // Order may differ between thread layouts; compare as multisets
-        // keyed by (setting, kind, intensity).
+        compat::par::set_thread_count(None);
+        // Compare as multisets keyed by (setting, kind, intensity).
         let key = |s: &Sample| {
             (
                 s.setting.core_idx,

@@ -3,9 +3,8 @@
 //!
 //! This is the multi-platform extension of the TK1's thread-invariance
 //! claim — per-setting seeding keys the noise streams to the *work*,
-//! not to the worker, so neither the advisory `SweepConfig::threads`
-//! nor the real `compat::par` pool width may change a single bit of
-//! the dataset.
+//! not to the worker, so the `compat::par` pool width may not change a
+//! single bit of the dataset.
 //!
 //! One `#[test]` on purpose: it flips the global
 //! `compat::par::set_thread_count` override, which must not race with
@@ -16,7 +15,7 @@ use dvfs_microbench::{try_run_sweep, MicrobenchKind, SweepConfig};
 #[test]
 fn every_catalog_device_sweeps_bitwise_identically_across_thread_counts() {
     for spec in tk1_sim::catalog::catalog() {
-        let config = |threads: usize| SweepConfig {
+        let config = SweepConfig {
             // A reduced but representative slice of the device's own
             // Table-I-shaped split; `faults: None` pinned so the test
             // ignores any ambient `FMM_ENERGY_FAULTS` campaign.
@@ -24,7 +23,6 @@ fn every_catalog_device_sweeps_bitwise_identically_across_thread_counts() {
             kinds: vec![MicrobenchKind::SharedMemory, MicrobenchKind::L2],
             trials: 1,
             seed: 0xD15C,
-            threads,
             faults: None,
             device: spec.clone(),
         };
@@ -32,7 +30,7 @@ fn every_catalog_device_sweeps_bitwise_identically_across_thread_counts() {
             .iter()
             .map(|&t| {
                 compat::par::set_thread_count(Some(t));
-                let run = try_run_sweep(&config(t)).expect("clean sweep");
+                let run = try_run_sweep(&config).expect("clean sweep");
                 compat::par::set_thread_count(None);
                 run
             })

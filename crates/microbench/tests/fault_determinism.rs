@@ -1,8 +1,10 @@
 //! Property tests for the satellite contract of the fault campaign:
 //! the same fault seed and rates must produce bitwise-identical
 //! corrupted traces, bitwise-identical datasets, and identical retry
-//! accounting no matter how many workers the sweep is (nominally)
-//! configured with — 1, 2, 4 or 8.
+//! accounting no matter how wide the worker pool is — 1, 2, 4 or 8.
+//!
+//! `sweep_is_thread_invariant_under_faults` is the only test in this
+//! binary that sets the process-global `compat::par` pool width.
 
 use compat::prop::prelude::*;
 use dvfs_microbench::dataset::table1_settings;
@@ -11,13 +13,12 @@ use powermon_sim::PowerMon;
 use tk1_sim::faults::{FaultConfig, FaultRates};
 use tk1_sim::Device;
 
-fn small_faulted_config(seed: u64, fault_seed: u64, threads: usize) -> SweepConfig {
+fn small_faulted_config(seed: u64, fault_seed: u64) -> SweepConfig {
     SweepConfig {
         settings: table1_settings().into_iter().take(3).collect(),
         kinds: vec![MicrobenchKind::SharedMemory, MicrobenchKind::L2],
         trials: 1,
         seed,
-        threads,
         faults: Some(FaultConfig { seed: fault_seed, rates: FaultRates::default_campaign() }),
         device: tk1_sim::catalog::tk1(),
     }
@@ -60,14 +61,16 @@ proptest! {
         seed in 0u64..1_000_000,
         fault_seed in 0u64..1_000_000,
     ) {
-        // `threads` is advisory (the pool is persistent), but the claim
-        // is stronger: per-setting seeding plus the stateless injector
-        // keys make the result independent of any work partitioning.
+        // Per-setting seeding plus the stateless injector keys make the
+        // result independent of any work partitioning.
+        let cfg = small_faulted_config(seed, fault_seed);
         let runs: Vec<_> = [1usize, 2, 4, 8]
             .iter()
             .map(|&t| {
-                try_run_sweep(&small_faulted_config(seed, fault_seed, t))
-                    .expect("default fault rates are survivable")
+                compat::par::set_thread_count(Some(t));
+                let run = try_run_sweep(&cfg).expect("default fault rates are survivable");
+                compat::par::set_thread_count(None);
+                run
             })
             .collect();
         let base = &runs[0];
@@ -90,7 +93,7 @@ proptest! {
         seed in 0u64..1_000_000,
         fault_seed in 0u64..1_000_000,
     ) {
-        let cfg = small_faulted_config(seed, fault_seed, 2);
+        let cfg = small_faulted_config(seed, fault_seed);
         let a = try_run_sweep(&cfg).expect("survivable");
         let b = try_run_sweep(&cfg).expect("survivable");
         prop_assert_eq!(&a.stats, &b.stats);

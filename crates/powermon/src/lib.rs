@@ -20,10 +20,8 @@
 
 pub mod adc;
 pub mod monitor;
-pub mod segment;
 pub mod trace;
 
 pub use adc::AdcModel;
 pub use monitor::{MeasuredExecution, PowerMon};
-pub use segment::{segment_trace, Segment, SegmentConfig};
 pub use trace::PowerTrace;

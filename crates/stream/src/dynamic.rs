@@ -52,6 +52,10 @@ use kifmm::{morton, FmmEvaluator, SoaSources};
 const SALT_MOVE: u64 = 1;
 const SALT_DISP: u64 = 2; // +dim
 
+/// Migrant fraction above which `advance` rebuilds outright instead of
+/// attempting in-place repair.
+const REBUILD_CHURN: f64 = 0.02;
+
 /// Seeded, stateless particle motion: every decision is a hash of
 /// `(seed, salt, step, particle)` — no RNG stream — so a step's
 /// displacement field is bitwise identical at any thread count and can
@@ -179,14 +183,11 @@ pub struct DynamicConfig {
     pub p: usize,
     /// V-list evaluation method.
     pub method: M2lMethod,
-    /// Migrant fraction above which `advance` rebuilds outright instead
-    /// of attempting in-place repair.
-    pub rebuild_churn: f64,
 }
 
 impl Default for DynamicConfig {
     fn default() -> Self {
-        DynamicConfig { q: 64, p: 4, method: M2lMethod::Fft, rebuild_churn: 0.02 }
+        DynamicConfig { q: 64, p: 4, method: M2lMethod::Fft }
     }
 }
 
@@ -306,7 +307,7 @@ impl DynamicOctree {
                 }
             }
         }
-        if migrants.len() as f64 > self.cfg.rebuild_churn * n as f64 {
+        if migrants.len() as f64 > REBUILD_CHURN * n as f64 {
             return self.rebuild(moved.len(), migrants.len(), RebuildReason::Churn);
         }
 

@@ -29,20 +29,8 @@
 //! so every number in the suite is bitwise reproducible at 1/2/4/8
 //! worker threads.
 //!
-//! # Environment knobs
-//!
-//! | Variable | Meaning |
-//! |---|---|
-//! | `FMM_ENERGY_STREAM` | Scenario spec: `gap=3.0,period=4,burst=3,slack=6.0,seed=N` (any subset; unknown keys ignored) |
-//! | `FMM_ENERGY_STREAM_STEPS` | Drift-scenario motion steps (positive integer) |
-//! | `FMM_ENERGY_STREAM_REQUESTS` | Burst-scenario stream length (positive integer) |
-//!
-//! `gap` is the mean inter-arrival gap and `slack` the deadline
-//! multiplier, both in units of the largest problem class's
-//! fastest-possible service time (see [`scenario`]); `period`/`burst`
-//! shape burst arrivals; `seed` reseeds the whole suite.  Malformed
-//! values fall back to the pinned defaults, matching the fault
-//! injector's lenient env grammar.
+//! The suite's shape is one [`StreamConfig`]: `repro stream` runs the
+//! pinned defaults, and the committed `BENCH_stream.json` records them.
 
 pub mod arbiter;
 pub mod dynamic;
@@ -58,8 +46,7 @@ pub use scenario::{
 };
 pub use traffic::{stream_digest, ClassMix, StreamRequest, TrafficConfig};
 
-/// The pinned configuration of the [`scenario`] suite, with
-/// `FMM_ENERGY_STREAM*` env overrides.
+/// The pinned configuration of the [`scenario`] suite.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Master seed for motion, traffic and devices.
@@ -90,86 +77,5 @@ impl Default for StreamConfig {
             burst_size: 3,
             deadline_slack: 6.0,
         }
-    }
-}
-
-impl StreamConfig {
-    /// The pinned defaults overridden by the `FMM_ENERGY_STREAM*`
-    /// variables (see the crate docs for the grammar).
-    pub fn from_env() -> Self {
-        let mut cfg = StreamConfig::default();
-        if let Some(spec) = compat::env::raw("FMM_ENERGY_STREAM") {
-            cfg.apply_spec(&spec);
-        }
-        if let Some(steps) = compat::env::positive_usize("FMM_ENERGY_STREAM_STEPS") {
-            cfg.steps = steps;
-        }
-        if let Some(requests) = compat::env::positive_usize("FMM_ENERGY_STREAM_REQUESTS") {
-            cfg.requests = requests;
-        }
-        cfg
-    }
-
-    /// Applies a `key=value,...` spec string; unknown keys and
-    /// malformed values are ignored (lenient, like the fault grammar).
-    pub fn apply_spec(&mut self, spec: &str) {
-        for part in spec.split(',') {
-            let part = part.trim();
-            let Some((key, value)) = part.split_once('=') else { continue };
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => {
-                    if let Ok(v) = value.parse::<u64>() {
-                        self.seed = v;
-                    }
-                }
-                "gap" => {
-                    if let Ok(v) = value.parse::<f64>() {
-                        if v.is_finite() && v > 0.0 {
-                            self.gap_scale = v;
-                        }
-                    }
-                }
-                "period" => {
-                    if let Ok(v) = value.parse::<usize>() {
-                        self.burst_period = v;
-                    }
-                }
-                "burst" => {
-                    if let Ok(v) = value.parse::<usize>() {
-                        if v > 0 {
-                            self.burst_size = v;
-                        }
-                    }
-                }
-                "slack" => {
-                    if let Ok(v) = value.parse::<f64>() {
-                        if v.is_finite() && v > 0.0 {
-                            self.deadline_slack = v;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_grammar_is_lenient_and_partial() {
-        let mut cfg = StreamConfig::default();
-        cfg.apply_spec("gap=1.5, burst=5, nonsense=7, slack=oops, seed=42");
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.gap_scale, 1.5);
-        assert_eq!(cfg.burst_size, 5);
-        // Malformed and unknown entries left the defaults alone.
-        let d = StreamConfig::default();
-        assert_eq!(cfg.deadline_slack, d.deadline_slack);
-        assert_eq!(cfg.burst_period, d.burst_period);
-        assert_eq!(cfg.steps, d.steps);
     }
 }

@@ -32,8 +32,8 @@ pub struct ClassMix {
     pub deadline_s: f64,
 }
 
-/// Generator knobs.  See [`crate::StreamConfig`] for the env-variable
-/// override grammar.
+/// Generator knobs.  The streaming suite derives them from its
+/// [`crate::StreamConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Master seed for every hash draw.

@@ -46,12 +46,11 @@
 //! the same way for the whole run, which is exactly what lets the
 //! circuit breaker open deterministically.
 //!
-//! `FMM_ENERGY_CHAOS` uses the same grammar, and the same parser, as
-//! `FMM_ENERGY_FAULTS`: unset/`off`/`0` → no chaos; `default`/`on`/`1`
-//! → the default profile; comma-separated `key=value` overrides, plus
-//! `seed=N`.
+//! A campaign is built in code: [`ChaosConfig::default_profile`], or a
+//! [`ChaosConfig`] with hand-picked [`ChaosRates`] (the server tests and
+//! the load generator's probes do this).
 
-use crate::faults::{parse_spec, FaultConfig, FaultRates, SpecField};
+use crate::faults::{FaultConfig, FaultRates};
 use compat::rng::{keyed_unit, mix64};
 use std::time::Duration;
 
@@ -89,7 +88,7 @@ impl ChaosRates {
         }
     }
 
-    /// The documented default profile (`FMM_ENERGY_CHAOS=default`).
+    /// The documented default profile.
     ///
     /// Calibrated for the 100k-request soak: ~0.2% of requests are
     /// poison (bounding availability loss well under the 1% budget),
@@ -124,36 +123,11 @@ impl ChaosConfig {
         ChaosConfig { seed: 0xC4A0_5EED, rates: ChaosRates::default_profile() }
     }
 
-    /// Parses `FMM_ENERGY_CHAOS`.  Returns `None` when the variable is
-    /// unset, empty, `off`, or `0`.  Unknown keys and malformed values
-    /// are ignored rather than fatal, matching `FaultConfig::parse`.
-    pub fn from_env() -> Option<ChaosConfig> {
-        Self::parse(&compat::env::raw("FMM_ENERGY_CHAOS")?)
-    }
-
-    /// Parses a `FMM_ENERGY_CHAOS`-style spec string.
-    pub fn parse(spec: &str) -> Option<ChaosConfig> {
-        let off = ChaosConfig { seed: 0xC4A0_5EED, rates: ChaosRates::off() };
-        parse_spec(spec, off, |c| c.rates = ChaosRates::default_profile(), &CHAOS_KEYS)
-    }
-
     /// The injector for this campaign.
     pub fn injector(&self) -> ChaosInjector {
         ChaosInjector { key: mix64(self.seed ^ 0x5E2F_1CE0_C4A0_5EED), rates: self.rates }
     }
 }
-
-/// The `FMM_ENERGY_CHAOS` keys and the field each one sets.
-const CHAOS_KEYS: [(&str, SpecField<ChaosConfig>); 8] = [
-    ("seed", SpecField::Whole(|c, s| c.seed = s)),
-    ("worker_panic", SpecField::Real(|c, x| c.rates.worker_panic = x)),
-    ("worker_abort", SpecField::Real(|c, x| c.rates.worker_abort = x)),
-    ("worker_stall", SpecField::Real(|c, x| c.rates.worker_stall = x)),
-    ("stall_ms", SpecField::Whole(|c, ms| c.rates.stall_ms = ms)),
-    ("latch_storm", SpecField::Real(|c, x| c.rates.latch_storm = x)),
-    ("meter_storm", SpecField::Real(|c, x| c.rates.meter_storm = x)),
-    ("cache_corrupt", SpecField::Real(|c, x| c.rates.cache_corrupt = x)),
-];
 
 /// What befalls a worker for one (request, attempt) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,25 +250,6 @@ impl ChaosInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_grammar_matches_faults_conventions() {
-        assert!(ChaosConfig::parse("off").is_none());
-        assert!(ChaosConfig::parse("0").is_none());
-        assert!(ChaosConfig::parse("  ").is_none());
-        let d = ChaosConfig::parse("default").expect("default profile");
-        assert_eq!(d.rates, ChaosRates::default_profile());
-        assert_eq!(d.seed, 0xC4A0_5EED);
-        let c = ChaosConfig::parse("default,seed=42,worker_panic=0.5,stall_ms=99")
-            .expect("overrides parse");
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.rates.worker_panic, 0.5);
-        assert_eq!(c.rates.stall_ms, 99);
-        assert_eq!(c.rates.latch_storm, ChaosRates::default_profile().latch_storm);
-        // Unknown keys and garbage values are ignored, not fatal.
-        let ok = ChaosConfig::parse("bogus=1,worker_stall=nan?,latch_storm=0.2").expect("cfg");
-        assert_eq!(ok.rates.latch_storm, 0.2);
-    }
 
     #[test]
     fn draws_are_stateless_and_subject_keyed() {

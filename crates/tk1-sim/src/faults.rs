@@ -172,14 +172,14 @@ const FAULT_KEYS: [(&str, SpecField<FaultConfig>); 10] = [
 ];
 
 /// How a spec key's value sets one field of a config.
-pub(crate) enum SpecField<C> {
+enum SpecField<C> {
     /// A probability or magnitude, parsed as `f64`.
     Real(fn(&mut C, f64)),
     /// A seed or count, parsed as `u64`.
     Whole(fn(&mut C, u64)),
 }
 
-/// The spec grammar `FMM_ENERGY_FAULTS` and `FMM_ENERGY_CHAOS` share.
+/// The `FMM_ENERGY_FAULTS` spec grammar.
 ///
 /// An empty spec, `off` or `0` disables injection (`None`).  Otherwise
 /// the config starts at `off` and each comma-separated token edits it:
@@ -187,7 +187,7 @@ pub(crate) enum SpecField<C> {
 /// the field `keys` lists for `key`.  Unknown keys and malformed values
 /// are skipped — a typo in an environment variable must not abort a
 /// campaign.
-pub(crate) fn parse_spec<C>(
+fn parse_spec<C>(
     spec: &str,
     off: C,
     load_default: fn(&mut C),

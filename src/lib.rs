@@ -80,12 +80,12 @@ pub mod prelude {
     };
     pub use dvfs_energy_model::{
         autotune_microbenchmarks, fit_model, holdout_validation, leave_one_setting_out,
-        prefetch_whatif, BreakdownReport, DiagnosticReport, EnergyModel, EnergyRoofline,
-        ErrorStats, PrefetchScenario, TradeoffAnalysis,
+        prefetch_whatif, BreakdownReport, EnergyModel, EnergyRoofline, ErrorStats,
+        PrefetchScenario,
     };
     pub use dvfs_governor::{
-        governed_evaluate, GovernorConfig, GovernorRuntime, PerPhaseAdaptive, PerPhaseModel,
-        Policy, StaticBest, Workload,
+        governed_evaluate, GovernorRuntime, PerPhaseAdaptive, PerPhaseModel, Policy, StaticBest,
+        Workload,
     };
     pub use dvfs_microbench::{
         from_csv, run_sweep, to_csv, Dataset, MicrobenchKind, Sample, SweepConfig,

@@ -16,8 +16,7 @@
 //!   function of request content, chaos config, and retry policy.
 //!
 //! Every config pins `faults` and `chaos` explicitly, so these
-//! assertions hold whether or not CI exports `FMM_ENERGY_FAULTS` or
-//! `FMM_ENERGY_CHAOS`.
+//! assertions hold whether or not CI exports `FMM_ENERGY_FAULTS`.
 
 use dvfs_bench::service_load::{service_load, LoadConfig, LoadReport};
 

@@ -12,13 +12,23 @@ use dvfs_energy_model::fit_model;
 use dvfs_microbench::{run_sweep, MicrobenchKind, SweepConfig};
 use kifmm::evaluator::{FmmPlan, M2lMethod};
 use kifmm::{profile_plan, CostModel, FmmEvaluator};
+use std::sync::{Mutex, MutexGuard};
 
-fn small_sweep(threads: usize) -> SweepConfig {
+/// Serializes the tests that set the process-global `compat::par` pool
+/// width, so each one runs at exactly the widths it names.
+static POOL_WIDTH: Mutex<()> = Mutex::new(());
+
+/// Takes [`POOL_WIDTH`].  A poisoned lock only means the other test
+/// failed; the guarded `()` cannot be left half-updated.
+fn own_pool_width() -> MutexGuard<'static, ()> {
+    POOL_WIDTH.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn small_sweep() -> SweepConfig {
     SweepConfig {
         kinds: vec![MicrobenchKind::SinglePrecision, MicrobenchKind::L2],
         trials: 1,
         seed: 0xD5EED,
-        threads,
         faults: None,
         ..SweepConfig::default()
     }
@@ -26,7 +36,7 @@ fn small_sweep(threads: usize) -> SweepConfig {
 
 #[test]
 fn sweep_samples_are_bitwise_identical_across_runs() {
-    let cfg = small_sweep(0);
+    let cfg = small_sweep();
     let a = run_sweep(&cfg);
     let b = run_sweep(&cfg);
     assert_eq!(a.len(), b.len());
@@ -41,10 +51,17 @@ fn sweep_samples_are_bitwise_identical_across_runs() {
 #[test]
 fn sweep_samples_are_bitwise_identical_across_thread_counts() {
     // Workers own whole settings and results are concatenated in chunk
-    // order, so even the *order* must match between thread layouts.
-    let a = run_sweep(&small_sweep(1));
+    // order, so even the *order* must match between pool widths.
+    let _width = own_pool_width();
+    let run_at = |threads: usize| {
+        compat::par::set_thread_count(Some(threads));
+        let run = run_sweep(&small_sweep());
+        compat::par::set_thread_count(None);
+        run
+    };
+    let a = run_at(1);
     for threads in [2, 3, 8] {
-        let b = run_sweep(&small_sweep(threads));
+        let b = run_at(threads);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.samples.iter().zip(&b.samples) {
             assert_eq!(x.setting, y.setting, "order changed at {threads} threads");
@@ -56,7 +73,7 @@ fn sweep_samples_are_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn nnls_fit_is_bitwise_reproducible() {
-    let dataset = run_sweep(&small_sweep(0));
+    let dataset = run_sweep(&small_sweep());
     let a = fit_model(dataset.training());
     let b = fit_model(dataset.training());
     for i in 0..a.model.c0_pj_per_v2.len() {
@@ -68,7 +85,7 @@ fn nnls_fit_is_bitwise_reproducible() {
     assert_eq!(a.residual_norm_j.to_bits(), b.residual_norm_j.to_bits());
 
     // A regenerated (identical-seed) dataset must fit to the same bits.
-    let again = run_sweep(&small_sweep(0));
+    let again = run_sweep(&small_sweep());
     let c = fit_model(again.training());
     assert_eq!(a.model.p_misc_w.to_bits(), c.model.p_misc_w.to_bits());
     assert_eq!(a.model.c0_pj_per_v2[0].to_bits(), c.model.c0_pj_per_v2[0].to_bits());
@@ -122,7 +139,7 @@ fn assert_same_operators(got: &FmmPlan, want: &FmmPlan, threads: usize) {
 #[test]
 fn fmm_evaluation_and_counters_are_identical_across_thread_counts() {
     // This test owns the global thread-count override for its whole
-    // body; it is the only test in this binary that touches it.
+    // body (see `own_pool_width`).
     //
     // Three contracts are pinned per thread count: bitwise identity
     // with the single-thread baseline, bitwise repeatability of back-
@@ -135,6 +152,7 @@ fn fmm_evaluation_and_counters_are_identical_across_thread_counts() {
     // every precomputed operator and the FFT M2L key order.
     let (pts, den) = seeded_cloud(2500, 7);
 
+    let _width = own_pool_width();
     compat::par::set_thread_count(Some(1));
     let plan = FmmPlan::new(&pts, &den, 32, 4, M2lMethod::Fft);
     let serial_eval = FmmEvaluator::new();

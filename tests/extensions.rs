@@ -1,11 +1,10 @@
 //! Integration tests for the extension features (DESIGN.md A-series and
-//! beyond): rooflines, Pareto trade-offs, governors, bootstrap
-//! uncertainty, model-structure ablation, trace segmentation, forces,
-//! and kernel independence — all through the public facade.
+//! beyond): rooflines, governors, bootstrap uncertainty, model-structure
+//! ablation, forces, and kernel independence — all through the public
+//! facade.
 
 use fmm_energy::governor::{PhaseTask, RaceToHalt};
 use fmm_energy::model::experiments::SYSTEM_SETTINGS;
-use fmm_energy::powermon::{segment_trace, PowerTrace, SegmentConfig};
 use fmm_energy::prelude::*;
 
 fn fitted() -> (EnergyModel, Dataset) {
@@ -27,32 +26,6 @@ fn roofline_energy_balance_sits_right_of_time_balance() {
             p.time_balance
         );
     }
-}
-
-#[test]
-fn pareto_frontier_of_a_real_kernel_is_consistent() {
-    use fmm_energy::model::pareto::OperatingPointMeasure;
-    let kernel = MicrobenchKind::SinglePrecision.instance(32.0);
-    let mut device = Device::new(4);
-    let mut meter = PowerMon::new(5);
-    let points: Vec<OperatingPointMeasure> = Setting::all()
-        .map(|s| {
-            device.set_operating_point(s);
-            let m = meter.measure(&mut device, kernel.kernel());
-            OperatingPointMeasure {
-                setting: s,
-                time_s: m.execution.duration_s,
-                energy_j: m.measured_energy_j,
-            }
-        })
-        .collect();
-    let analysis = TradeoffAnalysis::new(points);
-    let t_fast = analysis.min_time().time_s;
-    let t_edp = analysis.min_edp().time_s;
-    let t_energy = analysis.min_energy().time_s;
-    assert!(t_fast <= t_edp + 1e-12 && t_edp <= t_energy + 1e-12);
-    assert!(analysis.race_to_halt_penalty() >= 0.0);
-    assert!(!analysis.pareto_frontier().is_empty());
 }
 
 #[test]
@@ -95,25 +68,6 @@ fn model_ablation_orders_by_expressiveness() {
     let rows = fmm_energy::model::model_structure_ablation(&dataset);
     assert!(rows[0].holdout.mean_pct < rows[1].holdout.mean_pct);
     assert!(rows[1].holdout.mean_pct < rows[2].holdout.mean_pct);
-}
-
-#[test]
-fn trace_segmentation_recovers_phase_energy() {
-    let mut device = Device::new(12);
-    let mut meter = PowerMon::new(13);
-    let hot = KernelProfile::new("hot", OpVector::from_pairs(&[(OpClass::FlopSp, 5e10)]));
-    let cold = KernelProfile::new("cold", OpVector::from_pairs(&[(OpClass::Dram, 4e8)]))
-        .with_utilization(0.4);
-    let a = meter.measure(&mut device, &hot);
-    let b = meter.measure(&mut device, &cold);
-    let mut samples = a.trace.samples().to_vec();
-    samples.extend_from_slice(b.trace.samples());
-    let combined = PowerTrace::new(a.trace.sample_rate_hz(), samples);
-    let segments = segment_trace(&combined, &SegmentConfig::default());
-    assert!(segments.len() >= 2);
-    let total: f64 = segments.iter().map(|s| s.energy_j).sum();
-    let expected = combined.mean_power_w() * combined.duration_s();
-    assert!((total - expected).abs() / expected < 1e-9);
 }
 
 #[test]
