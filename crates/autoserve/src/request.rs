@@ -80,8 +80,8 @@ pub enum WorkloadSpec {
         /// clamped to 1 at lowering.
         launches: u32,
     },
-    /// A raw FMM problem spec, lowered through the existing
-    /// plan→profile counters path (`kifmm::profile_plan`).  Lowering is
+    /// A raw FMM problem spec, lowered through the tree → lists →
+    /// profile counters path (`kifmm::profile_shape`).  Lowering is
     /// deterministic in `(n, q, seed)`, so shards cache it.
     Fmm {
         /// Number of source/target points (clamped to the service's

@@ -9,8 +9,8 @@ use dvfs_energy_model::{
 };
 use dvfs_governor::{plan_phase_settings, race_to_halt_plan, Predictor, TransitionModel};
 use dvfs_microbench::SweepConfig;
-use kifmm::evaluator::{FmmPlan, M2lMethod};
-use kifmm::{profile_plan, CostModel};
+use kifmm::evaluator::M2lMethod;
+use kifmm::{profile_shape, CostModel, InteractionLists, Octree};
 use std::sync::Arc;
 use tk1_sim::{Device, DeviceSpec, FaultConfig, KernelProfile, Setting, TimingModel};
 
@@ -291,15 +291,17 @@ impl LowerCache {
     }
 }
 
-/// Lowers an FMM problem spec to its phase kernels through the plan →
-/// profile counters path, with the same synthetic point distribution
-/// the bench pipeline uses.
+/// Lowers an FMM problem spec to its phase kernels through the tree →
+/// lists → profile counters path, with the same synthetic point
+/// distribution the bench pipeline uses.  The counters read only the
+/// plan's shape, so no operator or kernel spectrum is built.
 fn lower_fmm(n: usize, q: usize, seed: u64) -> Vec<KernelProfile> {
     let mut rng = StdRng::seed_from_u64(seed ^ (n as u64).rotate_left(13) ^ q as u64);
     let pts: Vec<[f64; 3]> = (0..n).map(|_| [rng.random(), rng.random(), rng.random()]).collect();
     let den: Vec<f64> = (0..n).map(|_| 2.0 * rng.random::<f64>() - 1.0).collect();
-    let plan = FmmPlan::new(&pts, &den, q, 4, M2lMethod::Fft);
-    profile_plan(&plan, &CostModel::default()).kernels()
+    let tree = Octree::build(&pts, &den, q);
+    let lists = InteractionLists::build(&tree);
+    profile_shape(&tree, &lists, 4, M2lMethod::Fft, &CostModel::default()).kernels()
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //! returns the JSON document: `--out FILE` writes it, and `--check
 //! FILE` runs the entry's [`Check`] on a file instead of the
 //! experiment.  A malformed option, or one the chosen artifacts have
-//! no use for, is a usage error (exit 2); a failed run or check exits
+//! no use for, is a usage error (exit 2); so is a run option beside
+//! `--check`, which runs no experiment.  A failed run or check exits
 //! 1.
 //!
 //! `--scale-shift K` divides every FMM problem size by `2^K` (profiles
@@ -160,6 +161,7 @@ options:
   --sizes N1,N2    fmm-scaling problem sizes
   --out FILE       also write the artifact's BENCH JSON to FILE
   --check FILE     run the artifact's gates on FILE instead of the experiment
+                   (takes none of the options above --out)
   --baseline FILE  with fmm-scaling --check: fail on a >10% evaluate_median_s
                    regression against FILE",
     );
@@ -267,6 +269,18 @@ fn select(name: &str, args: &[String]) -> Result<(Vec<&'static Artifact>, Opts),
     if opts.out.is_some() && opts.check.is_some() {
         return Err("--out and --check exclude each other".to_string());
     }
+    let run_options = [
+        opts.scale_shift.is_some(),
+        opts.seed.is_some(),
+        opts.requests.is_some(),
+        opts.reps.is_some(),
+        opts.sizes.is_some(),
+    ];
+    if opts.check.is_some() && run_options.contains(&true) {
+        return Err("--check runs no experiment, so it takes no --scale-shift, --seed, \
+                    --requests, --reps or --sizes"
+            .to_string());
+    }
     if opts.baseline.is_some()
         && (opts.check.is_none() || check.is_some_and(|c| c.against.is_none()))
     {
@@ -341,7 +355,7 @@ impl Context {
     fn profiles(&mut self) -> &[(FmmInput, FmmProfile)] {
         let (seed, scale_shift) = (self.seed, self.scale_shift);
         self.profiles.get_or_insert_with(|| {
-            eprintln!("[repro] building + profiling FMM plans (scale shift {scale_shift}) ...");
+            eprintln!("[repro] profiling the FMM inputs (scale shift {scale_shift}) ...");
             fmm_profiles(scale_shift, seed)
         })
     }

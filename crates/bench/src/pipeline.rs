@@ -13,8 +13,8 @@ use dvfs_energy_model::{
     FitDiagnostics,
 };
 use dvfs_microbench::{Dataset, MicrobenchKind, SweepConfig, SweepStats};
-use kifmm::evaluator::{FmmPlan, M2lMethod};
-use kifmm::{profile_plan, CostModel, FmmProfile};
+use kifmm::evaluator::M2lMethod;
+use kifmm::{profile_shape, CostModel, FmmProfile, InteractionLists, Octree};
 use powermon_sim::PowerMon;
 use tk1_sim::{Device, OpClass, OpVector, Setting};
 
@@ -106,7 +106,8 @@ pub fn table2_outcomes(model: &EnergyModel, seed: u64) -> Vec<AutotuneOutcome> {
     )
 }
 
-/// Builds and profiles the FMM for each Table IV input.
+/// Profiles the FMM for each Table IV input from its tree and lists
+/// (the pipeline never evaluates these inputs, so no plan is built).
 ///
 /// `scale_shift` right-shifts every `N` (keeping `Q`) so tests can run
 /// the identical pipeline at a fraction of the paper's sizes; pass 0 for
@@ -120,8 +121,9 @@ pub fn fmm_profiles(scale_shift: u32, seed: u64) -> Vec<(FmmInput, FmmProfile)> 
             let pts: Vec<[f64; 3]> =
                 (0..n).map(|_| [rng.random(), rng.random(), rng.random()]).collect();
             let den: Vec<f64> = (0..n).map(|_| 2.0 * rng.random::<f64>() - 1.0).collect();
-            let plan = FmmPlan::new(&pts, &den, input.q, 4, M2lMethod::Fft);
-            let profile = profile_plan(&plan, &CostModel::default());
+            let tree = Octree::build(&pts, &den, input.q);
+            let lists = InteractionLists::build(&tree);
+            let profile = profile_shape(&tree, &lists, 4, M2lMethod::Fft, &CostModel::default());
             (input, profile)
         })
         .collect()

@@ -10,10 +10,13 @@
 //! alone — equal digests across a size's rows *are* the reproducibility
 //! claim.
 //!
-//! The worker count recorded per case is the **resolved** one
-//! ([`compat::par::num_threads`] after the override), not the requested
-//! one, so a snapshot taken under `FMM_ENERGY_THREADS` or on a smaller
-//! machine says what actually ran.
+//! The `threads` recorded per case is the **requested** pool width:
+//! [`compat::par::num_threads`] returns the override set here as is, and
+//! each parallel region splits into that many chunks, run by the calling
+//! thread and as many pool workers as the rest need (at most
+//! [`compat::par::MAX_POOL_WORKERS`]), whatever the machine's core
+//! count.  On a 2-core host the 4- and 8-wide rows therefore time-share
+//! two cores; the record does not say how many cores the run had.
 
 use compat::par;
 use compat::rng::StdRng;
@@ -33,7 +36,8 @@ pub const DEFAULT_SIZES: [usize; 2] = [8_192, 32_768];
 pub struct ScalingCase {
     /// Problem size.
     pub n: usize,
-    /// Resolved worker count the case actually ran with.
+    /// Requested pool width the case ran at (chunks per parallel
+    /// region), not a count of the machine's cores.
     pub threads: usize,
     /// Timed repetitions behind each median.
     pub reps: usize,
@@ -95,7 +99,7 @@ pub fn scaling_grid(
         let mut plan: Option<FmmPlan> = None;
         for &t in threads {
             par::set_thread_count(Some(t));
-            let resolved = par::num_threads();
+            let width = par::num_threads();
             let plan = plan.get_or_insert_with(|| FmmPlan::new(&pts, &den, 64, 4, M2lMethod::Fft));
             let eval = FmmEvaluator::new();
             let warm = eval.evaluate(plan);
@@ -110,7 +114,7 @@ pub fn scaling_grid(
             };
             cases.push(ScalingCase {
                 n,
-                threads: resolved,
+                threads: width,
                 reps,
                 phase_medians_s: [
                     med(|t| t.up_s),

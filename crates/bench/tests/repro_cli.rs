@@ -1,8 +1,9 @@
 //! `repro` at the process boundary.
 //!
 //! A malformed value, an unknown flag, a flag missing its value, or an
-//! option the artifact has no use for is a usage error (exit 2, like an
-//! unknown artifact), never a panic or a silent fallback to a default.
+//! option the artifact has no use for (a run option beside `--check`
+//! included) is a usage error (exit 2, like an unknown artifact), never
+//! a panic or a silent fallback to a default.
 //! A check that fails, or a pipeline that cannot run, exits 1 with a
 //! message instead of a panic, and every committed artifact's gates
 //! both pass the committed file and reject a copy with one gated value
@@ -66,6 +67,22 @@ fn bad_options_are_usage_errors() {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("artifacts:"), "repro {args:?} prints usage: {stderr}");
+    }
+    // `--check` reads a file and runs nothing, so a run option beside it
+    // is refused, even when the file itself passes.
+    let governor = committed("BENCH_governor.json");
+    let service = committed("BENCH_service.json");
+    let fmm = committed("BENCH_fmm.json");
+    for args in [
+        &["governor", "--scale-shift", "9", "--seed", "3", "--check", governor.as_str()][..],
+        &["service", "--requests", "5", "--check", service.as_str()],
+        &["fmm-scaling", "--reps", "2", "--sizes", "4096", "--check", fmm.as_str()],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--check runs no experiment"), "repro {args:?}: {stderr}");
         assert!(stderr.contains("artifacts:"), "repro {args:?} prints usage: {stderr}");
     }
 }

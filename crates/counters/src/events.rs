@@ -11,8 +11,12 @@ pub enum CounterKind {
 }
 
 /// The counters used to profile the FMM kernel (Table III).
+///
+/// Declared in [`TABLE3_EVENTS`] order, so the discriminant is the
+/// index into counter arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(non_camel_case_types)]
+#[repr(usize)]
 pub enum CounterEvent {
     /// # of double-precision floating point multiply-accumulate operations.
     flops_dp_fma,
@@ -73,8 +77,9 @@ pub const TABLE3_EVENTS: [CounterEvent; 17] = [
 
 impl CounterEvent {
     /// Index into [`TABLE3_EVENTS`]-ordered arrays.
+    #[inline]
     pub fn index(self) -> usize {
-        TABLE3_EVENTS.iter().position(|&e| e == self).expect("all events listed")
+        self as usize
     }
 
     /// Event vs metric, as Table III tags them.

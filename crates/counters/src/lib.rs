@@ -8,9 +8,8 @@
 //!
 //! * [`events`] — the counter events ("E") and metrics ("M") of
 //!   Table III, by their nvprof names.
-//! * [`registry`] — a thread-safe counter set that instrumented code
-//!   increments (the FMM's phases run under rayon, so counters are
-//!   atomics).
+//! * [`registry`] — the counter set that instrumented code increments
+//!   (relaxed atomics, so one set can be shared across threads).
 //! * [`cache`] — a set-associative L1/L2/DRAM hierarchy simulator at
 //!   32-byte-sector granularity, standing in for the real memory system
 //!   behind the counters.

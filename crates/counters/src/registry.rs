@@ -1,8 +1,10 @@
 //! Thread-safe counter storage.
 //!
-//! Instrumented code (the FMM's rayon-parallel phases) increments
-//! counters concurrently; reads (profile extraction) happen between
-//! phases.  Hot increments are relaxed atomics.
+//! The FMM's instrumentation pass is single-threaded: the cache
+//! simulator and the per-interaction instruction charges add to one set
+//! per phase, and reads (profile extraction) happen after the phase.
+//! Increments are relaxed atomics, so a set can still be shared across
+//! threads (`merge`, concurrent adds) without losing updates.
 
 use crate::events::{CounterEvent, TABLE3_EVENTS};
 use std::sync::atomic::{AtomicU64, Ordering};

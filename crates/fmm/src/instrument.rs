@@ -13,7 +13,10 @@
 //! require executing the kernel arithmetic, exactly as nvprof replays
 //! kernels to collect counters.  This keeps the hot numeric loops free of
 //! instrumentation and lets the paper-scale inputs (N = 262144) be
-//! profiled in seconds.
+//! profiled in seconds.  It reads only the plan's shape — tree, lists,
+//! surface order and V-list method — so [`profile_shape`] profiles a
+//! tree and its lists without building the plan's operators and kernel
+//! spectra at all.
 //!
 //! Memory-path modeling follows Kepler's actual load paths:
 //!
@@ -25,6 +28,9 @@
 //! * the FFT's transpose passes exchange data through shared memory.
 
 use crate::evaluator::{FmmPlan, M2lMethod};
+use crate::kernel::Kernel;
+use crate::lists::{v_offset_code, InteractionLists, V_OFFSET_CODES};
+use crate::surface::surface_point_count;
 use crate::tree::Octree;
 use crate::Phase;
 use gpu_counters::{derive_op_vector, CacheSim, CounterEvent, CounterSet};
@@ -66,7 +72,8 @@ pub struct CostModel {
     /// Integer instructions per spectral MAC element.
     pub int_per_mac: u64,
     /// Achieved utilization per phase (fraction of the bound resource's
-    /// peak; the paper measures the FMM below a quarter of peak IPC).
+    /// peak; the paper measures the FMM below a quarter of peak IPC),
+    /// indexed by `phase as usize` ([`Phase::ALL`] order).
     pub utilization: [f64; 6],
 }
 
@@ -88,13 +95,6 @@ impl Default for CostModel {
             // Order: UP, V, U, W, X, DOWN (Phase::ALL order).
             utilization: [0.30, 0.35, 0.25, 0.30, 0.30, 0.30],
         }
-    }
-}
-
-impl CostModel {
-    fn utilization_of(&self, phase: Phase) -> f64 {
-        let idx = Phase::ALL.iter().position(|&p| p == phase).expect("known phase");
-        self.utilization[idx]
     }
 }
 
@@ -135,13 +135,13 @@ pub struct FmmProfile {
     /// Points-per-box parameter.
     pub q: usize,
     /// Per-phase profiles, in [`Phase::ALL`] order.
-    pub phases: Vec<PhaseProfile>,
+    pub phases: [PhaseProfile; 6],
 }
 
 impl FmmProfile {
     /// The profile of one phase.
     pub fn phase(&self, phase: Phase) -> &PhaseProfile {
-        self.phases.iter().find(|p| p.phase == phase).expect("all phases profiled")
+        &self.phases[phase as usize]
     }
 
     /// Total operation counts across all phases.
@@ -170,44 +170,68 @@ const SPECTRA_BASE: u64 = 0x0009_0000_0000;
 const TABLEAU_BASE: u64 = 0x000B_0000_0000;
 const OPERATOR_BASE: u64 = 0x000D_0000_0000;
 
+/// An unassigned kernel tableau handle.
+const NO_TABLEAU: u32 = u32::MAX;
+
 /// Bytes per stored point (x, y, z, density — four doubles).
 const POINT_BYTES: u64 = 32;
 /// GPU warp width.
 const WARP: u64 = 32;
 
 /// Profiles `plan` under `cost`, producing per-phase counters.
-pub fn profile_plan<K: crate::kernel::Kernel>(plan: &FmmPlan<K>, cost: &CostModel) -> FmmProfile {
-    let tree = &plan.tree;
-    let ns = plan.ns() as u64;
+///
+/// Equal to [`profile_shape`] over the plan's tree, lists, surface order
+/// and method, the only parts of the plan the pass reads.
+pub fn profile_plan<K: Kernel>(plan: &FmmPlan<K>, cost: &CostModel) -> FmmProfile {
+    profile_shape(&plan.tree, &plan.lists, plan.p, plan.method, cost)
+}
+
+/// Profiles the evaluation a plan over `tree` and its `lists` (as
+/// [`InteractionLists::build`] makes them) would perform at surface
+/// order `p` with V-list `method`, producing per-phase counters.
+///
+/// The surface point count and the FFT grid edge (`2p`) both derive
+/// from `p`, so a caller that needs only the profile can skip the plan's
+/// operators and kernel spectra.
+pub fn profile_shape(
+    tree: &Octree,
+    lists: &InteractionLists,
+    p: usize,
+    method: M2lMethod,
+    cost: &CostModel,
+) -> FmmProfile {
+    let shape = Shape { tree, lists, ns: surface_point_count(p) as u64 };
     let depth = tree.depth() as u32;
     let mut cache = CacheSim::tegra_k1();
-    let mut phases = Vec::new();
 
-    for phase in Phase::ALL {
+    let phases = Phase::ALL.map(|phase| {
         cache.flush();
         let counters = CounterSet::new();
         match phase {
-            Phase::Up => profile_up(plan, cost, &mut cache, &counters, ns),
-            Phase::V => profile_v(plan, cost, &mut cache, &counters, ns),
-            Phase::U => profile_u(plan, cost, &mut cache, &counters),
-            Phase::W => profile_w(plan, cost, &mut cache, &counters, ns),
-            Phase::X => profile_x(plan, cost, &mut cache, &counters, ns),
-            Phase::Down => profile_down(plan, cost, &mut cache, &counters, ns),
+            Phase::Up => profile_up(&shape, cost, &mut cache, &counters),
+            Phase::V => profile_v(&shape, method, p, cost, &mut cache, &counters),
+            Phase::U => profile_u(&shape, cost, &mut cache, &counters),
+            Phase::W => profile_w(&shape, cost, &mut cache, &counters),
+            Phase::X => profile_x(&shape, cost, &mut cache, &counters),
+            Phase::Down => profile_down(&shape, cost, &mut cache, &counters),
         }
         let launches = match phase {
             Phase::Up | Phase::Down => depth + 1,
             Phase::V => depth.max(2) - 1,
             _ => 1,
         };
-        phases.push(PhaseProfile {
-            phase,
-            counters,
-            utilization: cost.utilization_of(phase),
-            launches,
-        });
-    }
+        PhaseProfile { phase, counters, utilization: cost.utilization[phase as usize], launches }
+    });
 
     FmmProfile { n: tree.points.len(), q: tree.max_leaf_points, phases }
+}
+
+/// The tree, lists and surface size every phase of the pass reads.
+struct Shape<'a> {
+    tree: &'a Octree,
+    lists: &'a InteractionLists,
+    /// Surface points per box.
+    ns: u64,
 }
 
 /// Charges `evals` kernel evaluations plus `points` target-loop
@@ -231,14 +255,8 @@ fn point_region(tree: &Octree, ni: usize) -> (u64, usize) {
     (POINTS_BASE + s as u64 * POINT_BYTES, (e - s) * POINT_BYTES as usize)
 }
 
-fn profile_up<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
-    cost: &CostModel,
-    cache: &mut CacheSim,
-    c: &CounterSet,
-    ns: u64,
-) {
-    let tree = &plan.tree;
+fn profile_up(shape: &Shape<'_>, cost: &CostModel, cache: &mut CacheSim, c: &CounterSet) {
+    let (tree, ns) = (shape.tree, shape.ns);
     for level in (0..tree.levels.len()).rev() {
         for &ni in &tree.levels[level] {
             let node = &tree.nodes[ni];
@@ -275,31 +293,31 @@ fn profile_up<K: crate::kernel::Kernel>(
     }
 }
 
-fn profile_v<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
+fn profile_v(
+    shape: &Shape<'_>,
+    method: M2lMethod,
+    p: usize,
     cost: &CostModel,
     cache: &mut CacheSim,
     c: &CounterSet,
-    ns: u64,
 ) {
-    let tree = &plan.tree;
-    match plan.method {
+    let (tree, lists, ns) = (shape.tree, shape.lists, shape.ns);
+    match method {
         M2lMethod::Fft => {
-            let fft = plan.fft.as_ref().expect("fft plan");
-            let grid = fft.grid_len() as u64;
-            let m = fft.m as u64;
+            // The convolution grid edge is 2p (see `fft_m2l`).
+            let m = 2 * p as u64;
+            let grid = m * m * m;
             // 3 axis passes of m² independent length-m transforms.
             let butterflies_per_transform =
-                3 * m * m * (m / 2) * (64 - (m - 1).leading_zeros() as u64);
+                3 * m * m * (m / 2) * u64::from(u64::BITS - m.saturating_sub(1).leading_zeros());
             let shared_tx_per_transform = 3 * grid * 16 / 128;
             // Forward transforms: once per box appearing as a V source.
             let mut is_source = vec![false; tree.nodes.len()];
-            for vl in &plan.lists.v {
+            for vl in &lists.v {
                 for &s in vl {
                     is_source[s] = true;
                 }
             }
-            let mut spectrum_index = std::collections::HashMap::new();
             for (ni, &src) in is_source.iter().enumerate() {
                 if !src {
                     continue;
@@ -308,6 +326,14 @@ fn profile_v<K: crate::kernel::Kernel>(
                 cache.read_l2_only(UP_EQUIV_BASE + ni as u64 * ns * 8, (ns * 8) as usize, c);
                 cache.write(SPECTRA_BASE + ni as u64 * grid * 16, (grid * 16) as usize, c);
             }
+            // Kernel tableau handles, dense over `level → offset code` as
+            // in `FftM2l`, assigned in order of first occurrence.
+            let mut tableau = vec![[NO_TABLEAU; V_OFFSET_CODES]; tree.depth() as usize + 1];
+            let mut tableaus = 0u32;
+            // The union of one parent's children's V sources and tableaus,
+            // reused across parents.
+            let mut union_sources: Vec<usize> = Vec::new();
+            let mut union_tableaus: Vec<u32> = Vec::new();
             // Translations, blocked by parent as the real GPU kernel
             // blocks them: each source spectrum and each kernel tableau
             // is staged into shared memory *once* per parent block
@@ -322,11 +348,11 @@ fn profile_v<K: crate::kernel::Kernel>(
                         continue;
                     }
                     // Stage the union of the children's V sources.
-                    let mut union_sources: Vec<usize> = Vec::new();
-                    let mut union_offsets: Vec<u64> = Vec::new();
+                    union_sources.clear();
+                    union_tableaus.clear();
                     for child in parent.children.iter().flatten() {
                         let tid = tree.nodes[*child].id;
-                        for &si in &plan.lists.v[*child] {
+                        for &si in &lists.v[*child] {
                             union_sources.push(si);
                             let sid = tree.nodes[si].id;
                             let off = (
@@ -334,15 +360,20 @@ fn profile_v<K: crate::kernel::Kernel>(
                                 sid.y as i32 - tid.y as i32,
                                 sid.z as i32 - tid.z as i32,
                             );
-                            let next = spectrum_index.len() as u64;
-                            let kidx = *spectrum_index.entry((tid.level, off)).or_insert(next);
-                            union_offsets.push(kidx);
+                            // V offsets lie in [-3, 3]³ by construction.
+                            let Some(code) = v_offset_code(off) else { continue };
+                            let handle = &mut tableau[tid.level as usize][code];
+                            if *handle == NO_TABLEAU {
+                                *handle = tableaus;
+                                tableaus += 1;
+                            }
+                            union_tableaus.push(*handle);
                         }
                     }
                     union_sources.sort_unstable();
                     union_sources.dedup();
-                    union_offsets.sort_unstable();
-                    union_offsets.dedup();
+                    union_tableaus.sort_unstable();
+                    union_tableaus.dedup();
                     for &si in &union_sources {
                         cache.read_l2_only(
                             SPECTRA_BASE + si as u64 * grid * 16,
@@ -350,9 +381,9 @@ fn profile_v<K: crate::kernel::Kernel>(
                             c,
                         );
                     }
-                    for &kidx in &union_offsets {
+                    for &kidx in &union_tableaus {
                         cache.read_l2_only(
-                            TABLEAU_BASE + kidx * grid * 16,
+                            TABLEAU_BASE + u64::from(kidx) * grid * 16,
                             (grid * 16) as usize,
                             c,
                         );
@@ -360,10 +391,10 @@ fn profile_v<K: crate::kernel::Kernel>(
                     // Per-pair spectral MACs out of shared memory.
                     for child in parent.children.iter().flatten() {
                         let ti = *child;
-                        if plan.lists.v[ti].is_empty() {
+                        if lists.v[ti].is_empty() {
                             continue;
                         }
-                        let pairs = plan.lists.v[ti].len() as u64;
+                        let pairs = lists.v[ti].len() as u64;
                         c.add(CounterEvent::flops_dp_fma, pairs * grid * cost.fma_per_mac);
                         c.add(CounterEvent::flops_dp_add, pairs * grid * cost.add_per_mac);
                         c.add(CounterEvent::inst_integer, pairs * grid * cost.int_per_mac);
@@ -376,7 +407,7 @@ fn profile_v<K: crate::kernel::Kernel>(
             }
         }
         M2lMethod::Dense => {
-            for (ti, vl) in plan.lists.v.iter().enumerate() {
+            for (ti, vl) in lists.v.iter().enumerate() {
                 if vl.is_empty() {
                     continue;
                 }
@@ -412,17 +443,12 @@ fn charge_fft(c: &CounterSet, cost: &CostModel, butterflies: u64, shared_tx: u64
     c.add(CounterEvent::l1_shared_store_transactions, shared_tx);
 }
 
-fn profile_u<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
-    cost: &CostModel,
-    cache: &mut CacheSim,
-    c: &CounterSet,
-) {
-    let tree = &plan.tree;
+fn profile_u(shape: &Shape<'_>, cost: &CostModel, cache: &mut CacheSim, c: &CounterSet) {
+    let (tree, lists) = (shape.tree, shape.lists);
     for li in tree.leaves() {
         let nt = tree.nodes[li].num_points() as u64;
         let warps = nt.div_ceil(WARP);
-        for &ai in &plan.lists.u[li] {
+        for &ai in &lists.u[li] {
             let np = tree.nodes[ai].num_points() as u64;
             charge_evals(c, cost, nt * np, nt);
             // Each warp streams the source box through the read-only
@@ -440,20 +466,14 @@ fn profile_u<K: crate::kernel::Kernel>(
     }
 }
 
-fn profile_w<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
-    cost: &CostModel,
-    cache: &mut CacheSim,
-    c: &CounterSet,
-    ns: u64,
-) {
-    let tree = &plan.tree;
+fn profile_w(shape: &Shape<'_>, cost: &CostModel, cache: &mut CacheSim, c: &CounterSet) {
+    let (tree, lists, ns) = (shape.tree, shape.lists, shape.ns);
     for li in tree.leaves() {
-        if plan.lists.w[li].is_empty() {
+        if lists.w[li].is_empty() {
             continue;
         }
         let nt = tree.nodes[li].num_points() as u64;
-        for &wi in &plan.lists.w[li] {
+        for &wi in &lists.w[li] {
             charge_evals(c, cost, nt * ns, nt);
             cache.read_l2_only(UP_EQUIV_BASE + wi as u64 * ns * 8, (ns * 8) as usize, c);
         }
@@ -462,15 +482,9 @@ fn profile_w<K: crate::kernel::Kernel>(
     }
 }
 
-fn profile_x<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
-    cost: &CostModel,
-    cache: &mut CacheSim,
-    c: &CounterSet,
-    ns: u64,
-) {
-    let tree = &plan.tree;
-    for (bi, xl) in plan.lists.x.iter().enumerate() {
+fn profile_x(shape: &Shape<'_>, cost: &CostModel, cache: &mut CacheSim, c: &CounterSet) {
+    let (tree, lists, ns) = (shape.tree, shape.lists, shape.ns);
+    for (bi, xl) in lists.x.iter().enumerate() {
         if xl.is_empty() {
             continue;
         }
@@ -484,14 +498,8 @@ fn profile_x<K: crate::kernel::Kernel>(
     }
 }
 
-fn profile_down<K: crate::kernel::Kernel>(
-    plan: &FmmPlan<K>,
-    cost: &CostModel,
-    cache: &mut CacheSim,
-    c: &CounterSet,
-    ns: u64,
-) {
-    let tree = &plan.tree;
+fn profile_down(shape: &Shape<'_>, cost: &CostModel, cache: &mut CacheSim, c: &CounterSet) {
+    let (tree, ns) = (shape.tree, shape.ns);
     for level in 0..tree.levels.len() {
         for &ni in &tree.levels[level] {
             let node = &tree.nodes[ni];
@@ -645,6 +653,79 @@ mod tests {
         let ratio_small = u_flops(&small_q) / v_flops(&small_q).max(1.0);
         let ratio_large = u_flops(&large_q) / v_flops(&large_q).max(1.0);
         assert!(ratio_large > ratio_small, "{ratio_large} vs {ratio_small}");
+    }
+
+    /// FNV-1a over the little-endian bytes of all 6 × 17 counters, in
+    /// phase then Table III order.
+    fn counter_digest(prof: &FmmProfile) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        for phase in &prof.phases {
+            for v in phase.counters.snapshot() {
+                for b in v.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn counter_digests_match_their_recorded_values() {
+        // Recorded from the per-sector cache simulator and the hashed
+        // V-phase bookkeeping the current pass replaced; every counter
+        // feeds the energy model, the golden suite and the BENCH files.
+        use crate::distributions::{plummer, uniform_cube};
+        let cases = [
+            (uniform_cube(3000, 1), 32, M2lMethod::Fft, 0xad45c0a37caa55f5),
+            (uniform_cube(1024, 2), 8, M2lMethod::Fft, 0x5d30572dbe4e92e5),
+            (plummer(4000, 0.05, 3), 32, M2lMethod::Fft, 0x5452bf2c9fa870a5),
+            (uniform_cube(2000, 4), 32, M2lMethod::Dense, 0x5795cc3759a03fc7),
+        ];
+        for (pts, q, method, recorded) in cases {
+            let tree = Octree::build(&pts, &vec![1.0; pts.len()], q);
+            let lists = InteractionLists::build(&tree);
+            let prof = profile_shape(&tree, &lists, 4, method, &CostModel::default());
+            assert_eq!(
+                counter_digest(&prof),
+                recorded,
+                "n={} q={q} {method:?}: {:#018x}",
+                pts.len(),
+                counter_digest(&prof)
+            );
+        }
+    }
+
+    #[test]
+    fn profiling_the_shape_equals_profiling_the_plan() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let pts: Vec<[f64; 3]> =
+            (0..1500).map(|_| [rng.random(), rng.random(), rng.random()]).collect();
+        let den = vec![1.0; pts.len()];
+        let cost = CostModel::default();
+        for method in [M2lMethod::Fft, M2lMethod::Dense] {
+            let plan = FmmPlan::new(&pts, &den, 24, 4, method);
+            let tree = Octree::build(&pts, &den, 24);
+            let lists = InteractionLists::build(&tree);
+            let (from_plan, from_shape) =
+                (profile_plan(&plan, &cost), profile_shape(&tree, &lists, 4, method, &cost));
+            assert_eq!((from_shape.n, from_shape.q), (from_plan.n, from_plan.q));
+            for (a, b) in from_shape.phases.iter().zip(&from_plan.phases) {
+                assert_eq!(a.phase, b.phase);
+                assert_eq!(
+                    a.counters.snapshot(),
+                    b.counters.snapshot(),
+                    "{method:?} {:?}",
+                    a.phase
+                );
+            }
+            for (a, b) in from_shape.kernels().iter().zip(&from_plan.kernels()) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(a.ops, b.ops);
+                assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
+                assert_eq!(a.launches, b.launches);
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod tree;
 
 pub use accuracy::{direct_sum, direct_sum_with, relative_l2_error};
 pub use evaluator::{EnginePhase, FmmEvaluator, FmmPlan, PhaseObserver, PhaseTimings};
-pub use instrument::{profile_plan, CostModel, FmmProfile, PhaseProfile};
+pub use instrument::{profile_plan, profile_shape, CostModel, FmmProfile, PhaseProfile};
 pub use kernel::{Kernel, LaplaceKernel, YukawaKernel};
 pub use lists::InteractionLists;
 pub use p2p_opt::{p2p_soa, p2p_soa_grad, SoaSources, SoaView};
@@ -95,6 +95,15 @@ impl Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn discriminants_follow_the_all_order() {
+        // Per-phase arrays (`CostModel::utilization`, `FmmProfile::phases`)
+        // are indexed by `phase as usize`.
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, i, "{}", phase.name());
+        }
+    }
 
     #[test]
     fn six_phases_as_in_paper() {

@@ -32,8 +32,8 @@ use dvfs_energy_model::EnergyModel;
 use dvfs_governor::{
     ArbiterJob, GovernorRuntime, PerPhaseModel, PhaseTask, Predictor, TransitionModel, Workload,
 };
-use kifmm::evaluator::{FmmPlan, M2lMethod};
-use kifmm::{profile_plan, CostModel};
+use kifmm::evaluator::M2lMethod;
+use kifmm::{profile_plan, profile_shape, CostModel, InteractionLists, Octree};
 use tk1_sim::{Device, Setting};
 
 /// Seed salt mirroring the governor runtime's device seed, so planning
@@ -173,7 +173,8 @@ struct ClassPlan {
     service_s: f64,
 }
 
-/// Builds each class's plan once and profiles it into phase tasks.
+/// Profiles each class's tree and lists once into phase tasks (the
+/// classes are never evaluated, so no plan is built).
 fn class_plans(cfg: &StreamConfig, predictor: &Predictor<'_>, fastest: Setting) -> Vec<ClassPlan> {
     let cost = CostModel::default();
     CLASSES
@@ -181,8 +182,9 @@ fn class_plans(cfg: &StreamConfig, predictor: &Predictor<'_>, fastest: Setting) 
         .enumerate()
         .map(|(ci, &(_, n, q, _))| {
             let (pts, den) = cloud(n, cfg.seed ^ (0xC1A5 + ci as u64));
-            let plan = FmmPlan::new(&pts, &den, q, 4, M2lMethod::Fft);
-            let profile = profile_plan(&plan, &cost);
+            let tree = Octree::build(&pts, &den, q);
+            let lists = InteractionLists::build(&tree);
+            let profile = profile_shape(&tree, &lists, 4, M2lMethod::Fft, &cost);
             let tasks = Workload::from_profile(&profile, 1).tasks;
             let service_s: f64 =
                 tasks.iter().map(|t| predictor.phase_time_s(&t.kernel, fastest)).sum();

@@ -121,9 +121,46 @@ impl FaultConfig {
     }
 
     /// Parses a `FMM_ENERGY_FAULTS`-style spec string.
+    ///
+    /// An empty spec, `off` or `0` disables injection (`None`).
+    /// Otherwise the config starts with every rate off and each
+    /// comma-separated token edits it: `default`, `on` or `1` loads the
+    /// default campaign's rates, and `key=value` sets the field
+    /// `FAULT_KEYS` lists for `key`.  Unknown keys and malformed values
+    /// are skipped — a typo in an environment variable must not abort a
+    /// campaign.
     pub fn parse(spec: &str) -> Option<FaultConfig> {
-        let off = FaultConfig { seed: 0xFA17, rates: FaultRates::off() };
-        parse_spec(spec, off, |c| c.rates = FaultRates::default_campaign(), &FAULT_KEYS)
+        let spec = spec.trim();
+        if spec.is_empty() || spec.eq_ignore_ascii_case("off") || spec == "0" {
+            return None;
+        }
+        let mut cfg = FaultConfig { seed: 0xFA17, rates: FaultRates::off() };
+        for token in spec.split(',') {
+            let token = token.trim();
+            if token.eq_ignore_ascii_case("default")
+                || token.eq_ignore_ascii_case("on")
+                || token == "1"
+            {
+                cfg.rates = FaultRates::default_campaign();
+                continue;
+            }
+            let Some((key, value)) = token.split_once('=') else { continue };
+            let (key, value) = (key.trim(), value.trim());
+            match FAULT_KEYS.iter().find(|(k, _)| *k == key).map(|(_, field)| field) {
+                Some(SpecField::Real(set)) => {
+                    if let Ok(x) = value.parse() {
+                        set(&mut cfg, x);
+                    }
+                }
+                Some(SpecField::Whole(set)) => {
+                    if let Ok(n) = value.parse() {
+                        set(&mut cfg, n);
+                    }
+                }
+                None => {}
+            }
+        }
+        Some(cfg)
     }
 
     /// An injector for one component instance.  `stream` separates
@@ -158,7 +195,7 @@ impl FaultConfig {
 }
 
 /// The `FMM_ENERGY_FAULTS` keys and the field each one sets.
-const FAULT_KEYS: [(&str, SpecField<FaultConfig>); 10] = [
+const FAULT_KEYS: [(&str, SpecField); 10] = [
     ("seed", SpecField::Whole(|c, s| c.seed = s)),
     ("sample_dropout", SpecField::Real(|c, x| c.rates.sample_dropout = x)),
     ("sample_clip", SpecField::Real(|c, x| c.rates.sample_clip = x)),
@@ -171,57 +208,12 @@ const FAULT_KEYS: [(&str, SpecField<FaultConfig>); 10] = [
     ("latch_neighbor", SpecField::Real(|c, x| c.rates.latch_neighbor = x)),
 ];
 
-/// How a spec key's value sets one field of a config.
-enum SpecField<C> {
+/// How a spec key's value sets one field of a [`FaultConfig`].
+enum SpecField {
     /// A probability or magnitude, parsed as `f64`.
-    Real(fn(&mut C, f64)),
-    /// A seed or count, parsed as `u64`.
-    Whole(fn(&mut C, u64)),
-}
-
-/// The `FMM_ENERGY_FAULTS` spec grammar.
-///
-/// An empty spec, `off` or `0` disables injection (`None`).  Otherwise
-/// the config starts at `off` and each comma-separated token edits it:
-/// `default`, `on` or `1` applies `load_default`, and `key=value` sets
-/// the field `keys` lists for `key`.  Unknown keys and malformed values
-/// are skipped — a typo in an environment variable must not abort a
-/// campaign.
-fn parse_spec<C>(
-    spec: &str,
-    off: C,
-    load_default: fn(&mut C),
-    keys: &[(&str, SpecField<C>)],
-) -> Option<C> {
-    let spec = spec.trim();
-    if spec.is_empty() || spec.eq_ignore_ascii_case("off") || spec == "0" {
-        return None;
-    }
-    let mut cfg = off;
-    for token in spec.split(',') {
-        let token = token.trim();
-        if token.eq_ignore_ascii_case("default") || token.eq_ignore_ascii_case("on") || token == "1"
-        {
-            load_default(&mut cfg);
-            continue;
-        }
-        let Some((key, value)) = token.split_once('=') else { continue };
-        let (key, value) = (key.trim(), value.trim());
-        match keys.iter().find(|(k, _)| *k == key).map(|(_, field)| field) {
-            Some(SpecField::Real(set)) => {
-                if let Ok(x) = value.parse() {
-                    set(&mut cfg, x);
-                }
-            }
-            Some(SpecField::Whole(set)) => {
-                if let Ok(n) = value.parse() {
-                    set(&mut cfg, n);
-                }
-            }
-            None => {}
-        }
-    }
-    Some(cfg)
+    Real(fn(&mut FaultConfig, f64)),
+    /// A seed, parsed as `u64`.
+    Whole(fn(&mut FaultConfig, u64)),
 }
 
 // Salt constants: one hash channel per fault mechanism.

@@ -79,6 +79,21 @@ repro governor --scale-shift 6 | grep -q "per-phase-model matches or beats"
 FMM_ENERGY_FAULTS=default repro governor --scale-shift 6 \
     | grep -q "per-phase-model matches or beats"
 
+echo "==> fmmbench: build, then one stream_drift cycle"
+# `fmmbench/` is a workspace of its own (BENCHMARK.json drives it), so
+# the workspace build above never compiles it, and a library change
+# that breaks the benchmark would pass every other stage.  A 1 s run
+# always completes its first 500-step cycle; its last line must report
+# `"correct": true`, which covers the bit equality of maintained and
+# from-scratch plans and the equal cycle energies.
+BENCH_LAST=$(CARGO_TARGET_DIR=.bench_build cargo run --release --offline -q \
+    --manifest-path fmmbench/Cargo.toml -- \
+    --workload stream_drift --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$BENCH_LAST" != *'"correct": true'* ]]; then
+    echo "error: the fmmbench stream_drift run is not correct: $BENCH_LAST" >&2
+    exit 1
+fi
+
 # Every committed artifact must pass its `repro <artifact> --check`
 # gates (crates/bench/src/check.rs):
 #   fmm-scaling  the full 1/2/4/8-thread grid up to n = 2^20, one
