@@ -15,6 +15,13 @@ pub struct CounterSet {
     values: [AtomicU64; 17],
 }
 
+impl Clone for CounterSet {
+    /// A new set holding this one's current values.
+    fn clone(&self) -> Self {
+        CounterSet { values: self.snapshot().map(AtomicU64::new) }
+    }
+}
+
 impl CounterSet {
     /// A fresh all-zero counter set.
     pub fn new() -> Self {

@@ -9,11 +9,20 @@
 //!
 //! The engine is allocation-free in steady state:
 //!
-//! * **Flat arenas.** Per-node expansion data (`up_equiv`,
-//!   `down_check`, `down_equiv`) lives in three contiguous `Vec<f64>`
-//!   arenas indexed by `node * ns` rather than per-node boxed vectors.
-//!   Phases write straight into their disjoint arena slices through
-//!   [`SendPtr`] — no collect-then-scatter round trips.
+//! * **Flat arenas, kept.** Per-node expansion data (`up_equiv`,
+//!   `down_check`, `down_equiv`) lives in three contiguous `f64` arenas
+//!   indexed by `node * ns` rather than per-node boxed vectors, and the
+//!   V phase's source spectra in two more.  Phases write straight into
+//!   their disjoint arena slices through [`SendPtr`] — no
+//!   collect-then-scatter round trips.  The arenas are kept on the
+//!   calling thread between evaluations, grown to the largest plan it
+//!   has evaluated, so a time-stepped caller reuses warm memory instead
+//!   of allocating and first-touching it on every call.  `up_equiv`,
+//!   `down_equiv` and the spectra are fully overwritten by every
+//!   evaluation; `down_check`, which V and X add into, is re-zeroed.
+//! * **Column-major operators.** Every translation operator is applied
+//!   through [`dvfs_linalg::ColMajor`], which sums each output row
+//!   exactly as a row dot product does but vectorizes across rows.
 //! * **Per-chunk scratch.** Each parallel worker chunk carries reusable
 //!   scratch buffers ([`compat::par::par_for_each_chunked_init`]):
 //!   scaled surface points, check potentials, FFT grids and SoA staging
@@ -50,6 +59,7 @@
 //! arithmetic, so their potentials are bitwise equal too.
 
 use crate::fft_m2l::FftM2l;
+use crate::instrument::ProfileMemo;
 use crate::kernel::{Kernel, LaplaceKernel};
 use crate::lists::InteractionLists;
 use crate::operators::OperatorCache;
@@ -60,6 +70,7 @@ use crate::tree::Octree;
 use compat::par::{self, par_for_each_chunked_init, SendPtr};
 use compat::sync::RwLock;
 use dvfs_fft::Complex;
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,8 +153,8 @@ pub enum M2lMethod {
 ///
 /// `near_s` covers the fused leaf pass — L2P, the W list and the U list
 /// all stream over each leaf's targets in one sweep, so they share one
-/// timer.  The phases sum to slightly less than `total_s` (arena
-/// allocation and the output scatter are outside the phase timers).
+/// timer.  The phases sum to slightly less than `total_s` (observer
+/// calls between the phases count toward the total only).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// UP: P2M at leaves + M2M up the tree.
@@ -204,6 +215,8 @@ pub struct FmmPlan<K: Kernel = LaplaceKernel> {
     /// Cached chunk-affinity [`PhaseSchedule`], keyed by the thread
     /// count it was partitioned for (see [`FmmPlan::schedule`]).
     schedule: RwLock<Option<Arc<PhaseSchedule>>>,
+    /// The last profile [`crate::profile_plan`] produced for this plan.
+    pub(crate) profile_memo: RwLock<Option<ProfileMemo>>,
 }
 
 impl FmmPlan<LaplaceKernel> {
@@ -256,6 +269,7 @@ impl<K: Kernel> FmmPlan<K> {
             tpl_inner,
             tpl_outer,
             schedule: RwLock::new(None),
+            profile_memo: RwLock::new(None),
         }
     }
 
@@ -303,7 +317,37 @@ struct LeafScratch {
     grad: Vec<[f64; 3]>,
 }
 
-/// The evaluator.  Stateless; the kernel lives in the plan.
+/// The per-node and spectrum arenas one evaluation fills (see the module
+/// docs), kept on the calling thread between evaluations.
+#[derive(Default)]
+struct Arenas {
+    up_equiv: Vec<f64>,
+    down_check: Vec<f64>,
+    down_equiv: Vec<f64>,
+    spec_re: Vec<f64>,
+    spec_im: Vec<f64>,
+}
+
+thread_local! {
+    /// The calling thread's arenas.  An evaluation takes them and puts
+    /// them back when it finishes, so a nested evaluation on the same
+    /// thread (from a [`PhaseObserver`], say) starts from empty arenas
+    /// rather than sharing the outer one's.
+    static ARENAS: Cell<Arenas> = Cell::new(Arenas::default());
+}
+
+/// The first `len` entries of `arena`, replaced by a zeroed arena of
+/// exactly `len` when it is shorter.  A kept arena holds the previous
+/// evaluation's values: callers overwrite, or clear, what they read.
+fn prefix(arena: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if arena.len() < len {
+        *arena = vec![0.0; len];
+    }
+    &mut arena[..len]
+}
+
+/// The evaluator.  Stateless; the kernel lives in the plan, and the
+/// arenas are kept per calling thread.
 #[derive(Debug, Default)]
 pub struct FmmEvaluator;
 
@@ -352,15 +396,31 @@ impl FmmEvaluator {
         plan: &FmmPlan<K>,
     ) -> (Vec<f64>, Vec<[f64; 3]>) {
         let (pot, grad, _) = self.evaluate_impl(plan, true, None);
-        (pot, grad.expect("gradient requested"))
+        (pot, grad)
     }
 
+    /// Potentials, gradients (empty unless `with_grad`) and phase times,
+    /// computed in the calling thread's kept arenas.
     fn evaluate_impl<K: Kernel>(
         &self,
         plan: &FmmPlan<K>,
         with_grad: bool,
+        obs: Option<&mut dyn PhaseObserver>,
+    ) -> (Vec<f64>, Vec<[f64; 3]>, PhaseTimings) {
+        // A thread being torn down has no arenas to lend; it evaluates
+        // in fresh ones.
+        let mut arenas = ARENAS.try_with(Cell::take).unwrap_or_default();
+        let result = Self::evaluate_in(plan, with_grad, obs, &mut arenas);
+        let _ = ARENAS.try_with(|kept| kept.set(arenas));
+        result
+    }
+
+    fn evaluate_in<K: Kernel>(
+        plan: &FmmPlan<K>,
+        with_grad: bool,
         mut obs: Option<&mut dyn PhaseObserver>,
-    ) -> (Vec<f64>, Option<Vec<[f64; 3]>>, PhaseTimings) {
+        arenas: &mut Arenas,
+    ) -> (Vec<f64>, Vec<[f64; 3]>, PhaseTimings) {
         let tree = &plan.tree;
         let ns = plan.ns();
         let n_nodes = tree.nodes.len();
@@ -375,7 +435,7 @@ impl FmmEvaluator {
         // ---- UP: P2M at leaves, M2M bottom-up. ----------------------
         phase_start(&mut obs, EnginePhase::Up);
         let t = Instant::now();
-        let mut up_equiv = vec![0.0f64; n_nodes * ns];
+        let up_equiv = prefix(&mut arenas.up_equiv, n_nodes * ns);
         {
             let base = SendPtr::new(up_equiv.as_mut_ptr());
             for level in (0..tree.levels.len()).rev() {
@@ -393,7 +453,7 @@ impl FmmEvaluator {
                             scr.check.fill(0.0);
                             let (s, e) = node.point_range;
                             plan.kernel.p2p_soa(&scr.surf, plan.soa.range(s, e), &mut scr.check);
-                            plan.ops.uc2e(node.id.level).matvec_into(&scr.check, slot);
+                            plan.ops.uc2e(node.id.level).apply_into(&scr.check, slot);
                         } else {
                             slot.fill(0.0);
                             for child in node.children.iter().flatten() {
@@ -401,23 +461,24 @@ impl FmmEvaluator {
                                 let cequiv = unsafe { base.slice(*child * ns, ns) };
                                 plan.ops
                                     .m2m(cnode.id.level, cnode.id.octant())
-                                    .matvec_acc(cequiv, slot);
+                                    .apply_acc(cequiv, slot);
                             }
                         }
                     },
                 );
             }
         }
+        let up_equiv: &[f64] = up_equiv;
         timings.up_s = t.elapsed().as_secs_f64();
         phase_end(&mut obs, EnginePhase::Up, timings.up_s);
 
         // ---- V: M2L into the downward-check arena. ------------------
         phase_start(&mut obs, EnginePhase::V);
         let t = Instant::now();
-        let mut down_check = vec![0.0f64; n_nodes * ns];
-        match plan.method {
-            M2lMethod::Fft => {
-                let fft = plan.fft.as_ref().expect("fft plan built");
+        let down_check = prefix(&mut arenas.down_check, n_nodes * ns);
+        down_check.fill(0.0);
+        match &plan.fft {
+            Some(fft) => {
                 let glen = fft.grid_len();
                 let hlen = fft.half_len();
                 // Dense slot assignment for every box appearing as a V
@@ -431,8 +492,8 @@ impl FmmEvaluator {
                 // (2i, 2i+1) — chunks partition the *pair list* — so the
                 // spectra, and hence all downstream bits, do not depend
                 // on the thread count or the chunk boundaries.
-                let mut spec_re = vec![0.0f64; sources.len() * hlen];
-                let mut spec_im = vec![0.0f64; sources.len() * hlen];
+                let spec_re = prefix(&mut arenas.spec_re, sources.len() * hlen);
+                let spec_im = prefix(&mut arenas.spec_im, sources.len() * hlen);
                 {
                     let base_re = SendPtr::new(spec_re.as_mut_ptr());
                     let base_im = SendPtr::new(spec_im.as_mut_ptr());
@@ -466,6 +527,7 @@ impl FmmEvaluator {
                         },
                     );
                 }
+                let (spec_re, spec_im): (&[f64], &[f64]) = (spec_re, spec_im);
                 // Per-target frequency-domain accumulation, finished
                 // straight into the down-check arena.  Targets are
                 // processed in fixed-index pairs (2i, 2i+1) so two
@@ -526,7 +588,7 @@ impl FmmEvaluator {
                     },
                 );
             }
-            M2lMethod::Dense => {
+            None => {
                 let base = SendPtr::new(down_check.as_mut_ptr());
                 par_for_each_chunked_init(
                     &sched.v_target_chunks,
@@ -543,7 +605,7 @@ impl FmmEvaluator {
                                 sid.z as i32 - tid.z as i32,
                             );
                             let m2l = plan.ops.m2l(tid.level, off).expect("operator cached");
-                            m2l.matvec_acc(&up_equiv[si * ns..(si + 1) * ns], slot);
+                            m2l.apply_acc(&up_equiv[si * ns..(si + 1) * ns], slot);
                         }
                     },
                 );
@@ -568,13 +630,14 @@ impl FmmEvaluator {
                 }
             });
         }
+        let down_check: &[f64] = down_check;
         timings.x_s = t.elapsed().as_secs_f64();
         phase_end(&mut obs, EnginePhase::X, timings.x_s);
 
         // ---- DOWN: L2L top-down. -------------------------------------
         phase_start(&mut obs, EnginePhase::Down);
         let t = Instant::now();
-        let mut down_equiv = vec![0.0f64; n_nodes * ns];
+        let down_equiv = prefix(&mut arenas.down_equiv, n_nodes * ns);
         {
             let base = SendPtr::new(down_equiv.as_mut_ptr());
             for level in 0..tree.levels.len() {
@@ -589,15 +652,16 @@ impl FmmEvaluator {
                         let slot = unsafe { base.slice_mut(ni * ns, ns) };
                         plan.ops
                             .dc2e(node.id.level)
-                            .matvec_into(&down_check[ni * ns..(ni + 1) * ns], slot);
+                            .apply_into(&down_check[ni * ns..(ni + 1) * ns], slot);
                         if let Some(pi) = node.parent {
                             let pequiv = unsafe { base.slice(pi * ns, ns) };
-                            plan.ops.l2l(node.id.level, node.id.octant()).matvec_acc(pequiv, slot);
+                            plan.ops.l2l(node.id.level, node.id.octant()).apply_acc(pequiv, slot);
                         }
                     },
                 );
             }
         }
+        let down_equiv: &[f64] = down_equiv;
         timings.down_s = t.elapsed().as_secs_f64();
         phase_end(&mut obs, EnginePhase::Down, timings.down_s);
 
@@ -606,10 +670,10 @@ impl FmmEvaluator {
         let t = Instant::now();
         let n_points = tree.points.len();
         let mut out = vec![0.0f64; n_points];
-        let mut out_grad = if with_grad { Some(vec![[0.0f64; 3]; n_points]) } else { None };
+        let mut out_grad = if with_grad { vec![[0.0f64; 3]; n_points] } else { Vec::new() };
         {
             let out_base = SendPtr::new(out.as_mut_ptr());
-            let grad_base = out_grad.as_mut().map(|g| SendPtr::new(g.as_mut_ptr()));
+            let grad_base = with_grad.then(|| SendPtr::new(out_grad.as_mut_ptr()));
             par_for_each_chunked_init(
                 &sched.leaf_chunks,
                 || LeafScratch {

@@ -571,7 +571,8 @@ mod tests {
         let mut tested = 0;
         for &(level, off) in fft.keys.iter().take(24) {
             let dense = ops.m2l(level, off).expect("dense twin exists");
-            let expected = dense.matvec(&densities);
+            let mut expected = vec![0.0; ns];
+            dense.apply_into(&densities, &mut expected);
             let mut acc = fft.new_accumulator();
             assert!(fft.accumulate(level, off, &src_spec, &mut acc));
             let got = fft.finish(acc);

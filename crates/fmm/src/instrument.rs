@@ -18,6 +18,21 @@
 //! tree and its lists without building the plan's operators and kernel
 //! spectra at all.
 //!
+//! A time-stepped caller profiles the same plan after every step, and
+//! most steps change little of what the pass reads.  [`profile_plan`]
+//! therefore keeps the plan's last profile in the plan and recomputes
+//! only what the step could have changed:
+//!
+//! * while the tree's point slabs ([`Octree::generation`]) are
+//!   unchanged — a step where no point crossed a leaf boundary — the
+//!   whole profile is returned again: no phase reads a point's position;
+//! * while only the tree's structure ([`Octree::structure`]) is
+//!   unchanged — any in-place repair — the V phase's counters are kept,
+//!   because the V pass reads node ids, children, levels and V lists
+//!   but no point count or range, and every phase starts from a flushed
+//!   cache, so its counters depend on nothing another phase did;
+//! * the other phases run the same code [`profile_shape`] runs.
+//!
 //! Memory-path modeling follows Kepler's actual load paths:
 //!
 //! * U-phase point data is read through the read-only (`__ldg`) path and
@@ -45,7 +60,7 @@ use tk1_sim::{KernelProfile, OpVector};
 /// integer cost is the source index increment, the four address
 /// computations (x/y/z/density), the loop-bound compare/branch and the
 /// accumulator indexing of an unrolled-by-4 GPU loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// DP FMAs per kernel evaluation.
     pub fma_per_eval: u64,
@@ -99,7 +114,7 @@ impl Default for CostModel {
 }
 
 /// The profile of one FMM phase.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PhaseProfile {
     /// Which phase.
     pub phase: Phase,
@@ -128,7 +143,7 @@ impl PhaseProfile {
 }
 
 /// The profile of a full FMM evaluation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FmmProfile {
     /// Problem size.
     pub n: usize,
@@ -181,9 +196,55 @@ const WARP: u64 = 32;
 /// Profiles `plan` under `cost`, producing per-phase counters.
 ///
 /// Equal to [`profile_shape`] over the plan's tree, lists, surface order
-/// and method, the only parts of the plan the pass reads.
+/// and method, the only parts of the plan the pass reads.  The plan keeps
+/// its last profile, so a call after an in-place tree update recomputes
+/// only the phases the update could have changed (see the module docs).
 pub fn profile_plan<K: Kernel>(plan: &FmmPlan<K>, cost: &CostModel) -> FmmProfile {
-    profile_shape(&plan.tree, &plan.lists, plan.p, plan.method, cost)
+    let key = ShapeKey {
+        structure: plan.tree.structure(),
+        lists: plan.lists.stamp(),
+        p: plan.p,
+        method: plan.method,
+        cost: cost.clone(),
+    };
+    let generation = plan.tree.generation();
+    let kept_v = match plan.profile_memo.read().as_ref() {
+        Some(memo) if memo.key == key && memo.generation == generation => {
+            let mut profile = memo.profile.clone();
+            // `==` on the cost model equates ±0.0; take the caller's bits.
+            for phase in &mut profile.phases {
+                phase.utilization = cost.utilization[phase.phase as usize];
+            }
+            return profile;
+        }
+        Some(memo) if memo.key == key => Some(memo.profile.phase(Phase::V).counters.clone()),
+        _ => None,
+    };
+    let profile = profile_phases(&plan.tree, &plan.lists, plan.p, plan.method, cost, kept_v);
+    *plan.profile_memo.write() = Some(ProfileMemo { key, generation, profile: profile.clone() });
+    profile
+}
+
+/// A plan's last profile and what it was computed from, kept in the plan
+/// beside its schedule cache (see [`profile_plan`]).
+#[derive(Debug)]
+pub(crate) struct ProfileMemo {
+    key: ShapeKey,
+    /// The [`Octree::generation`] the profile was computed at.
+    generation: u64,
+    profile: FmmProfile,
+}
+
+/// Everything the V phase's counters are a function of: the tree's
+/// structure, the V lists (each build of either has its own stamp), the
+/// surface order, the method and the cost model.
+#[derive(Debug, PartialEq)]
+struct ShapeKey {
+    structure: u64,
+    lists: u64,
+    p: usize,
+    method: M2lMethod,
+    cost: CostModel,
 }
 
 /// Profiles the evaluation a plan over `tree` and its `lists` (as
@@ -200,21 +261,37 @@ pub fn profile_shape(
     method: M2lMethod,
     cost: &CostModel,
 ) -> FmmProfile {
+    profile_phases(tree, lists, p, method, cost, None)
+}
+
+/// [`profile_shape`], with the V phase's counters taken from `kept_v`
+/// instead of profiled when given.
+fn profile_phases(
+    tree: &Octree,
+    lists: &InteractionLists,
+    p: usize,
+    method: M2lMethod,
+    cost: &CostModel,
+    mut kept_v: Option<CounterSet>,
+) -> FmmProfile {
     let shape = Shape { tree, lists, ns: surface_point_count(p) as u64 };
     let depth = tree.depth() as u32;
     let mut cache = CacheSim::tegra_k1();
 
     let phases = Phase::ALL.map(|phase| {
-        cache.flush();
-        let counters = CounterSet::new();
-        match phase {
-            Phase::Up => profile_up(&shape, cost, &mut cache, &counters),
-            Phase::V => profile_v(&shape, method, p, cost, &mut cache, &counters),
-            Phase::U => profile_u(&shape, cost, &mut cache, &counters),
-            Phase::W => profile_w(&shape, cost, &mut cache, &counters),
-            Phase::X => profile_x(&shape, cost, &mut cache, &counters),
-            Phase::Down => profile_down(&shape, cost, &mut cache, &counters),
-        }
+        let counters = kept_v.take_if(|_| phase == Phase::V).unwrap_or_else(|| {
+            cache.flush();
+            let counters = CounterSet::new();
+            match phase {
+                Phase::Up => profile_up(&shape, cost, &mut cache, &counters),
+                Phase::V => profile_v(&shape, method, p, cost, &mut cache, &counters),
+                Phase::U => profile_u(&shape, cost, &mut cache, &counters),
+                Phase::W => profile_w(&shape, cost, &mut cache, &counters),
+                Phase::X => profile_x(&shape, cost, &mut cache, &counters),
+                Phase::Down => profile_down(&shape, cost, &mut cache, &counters),
+            }
+            counters
+        });
         let launches = match phase {
             Phase::Up | Phase::Down => depth + 1,
             Phase::V => depth.max(2) - 1,
@@ -726,6 +803,75 @@ mod tests {
                 assert_eq!(a.launches, b.launches);
             }
         }
+    }
+
+    /// Asserts `got` equals `want` in every counter, utilization bit
+    /// and launch count.
+    fn assert_same_profile(got: &FmmProfile, want: &FmmProfile, at: &str) {
+        assert_eq!((got.n, got.q), (want.n, want.q), "{at}");
+        for (g, w) in got.phases.iter().zip(&want.phases) {
+            assert_eq!(g.phase, w.phase, "{at}");
+            assert_eq!(g.counters.snapshot(), w.counters.snapshot(), "{at}: {:?}", g.phase);
+            assert_eq!(g.utilization.to_bits(), w.utilization.to_bits(), "{at}: {:?}", g.phase);
+            assert_eq!(g.launches, w.launches, "{at}: {:?}", g.phase);
+        }
+    }
+
+    /// Adds one `gld_request` to the memo's V and U counters, so a
+    /// profile served from the memo shows which phases it reused.
+    fn mark_memo(plan: &FmmPlan) {
+        let memo = plan.profile_memo.read();
+        let memo = memo.as_ref().expect("profiled");
+        for phase in [Phase::V, Phase::U] {
+            memo.profile.phase(phase).counters.add(CounterEvent::gld_request, 1);
+        }
+    }
+
+    fn marked(prof: &FmmProfile, phase: Phase, fresh: &FmmProfile) -> bool {
+        let gld = |p: &FmmProfile| p.phase(phase).counters.get(CounterEvent::gld_request);
+        gld(prof) == gld(fresh) + 1
+    }
+
+    #[test]
+    fn memo_reuses_what_the_tree_kept_and_misses_on_new_inputs() {
+        let fresh = |plan: &FmmPlan, cost: &CostModel| {
+            profile_shape(&plan.tree, &plan.lists, plan.p, plan.method, cost)
+        };
+        let cost = CostModel::default();
+        let mut p = plan(1200, 24, 11);
+        assert_same_profile(&profile_plan(&p, &cost), &fresh(&p, &cost), "first call");
+
+        // Same contents: the whole profile is the memo's.
+        mark_memo(&p);
+        let again = profile_plan(&p, &cost);
+        let want = fresh(&p, &cost);
+        assert!(marked(&again, Phase::V, &want) && marked(&again, Phase::U, &want));
+
+        // An in-place update keeps the structure: only V is the memo's.
+        p.tree.bump_generation();
+        let stepped = profile_plan(&p, &cost);
+        assert!(marked(&stepped, Phase::V, &want) && !marked(&stepped, Phase::U, &want));
+        for phase in [Phase::Up, Phase::U, Phase::W, Phase::X, Phase::Down] {
+            let (got, want) = (stepped.phase(phase), want.phase(phase));
+            assert_eq!(got.counters.snapshot(), want.counters.snapshot(), "{phase:?}");
+        }
+
+        // A changed cost model misses, utilization included.
+        mark_memo(&p);
+        let mut dearer = CostModel { int_per_mac: 9, ..CostModel::default() };
+        dearer.utilization[Phase::V as usize] = 0.5;
+        assert_same_profile(&profile_plan(&p, &dearer), &fresh(&p, &dearer), "new cost model");
+
+        // Another tree and its lists swapped into the plan miss.
+        mark_memo(&p);
+        let other = plan(1200, 24, 12);
+        (p.tree, p.lists) = (other.tree, other.lists);
+        assert_same_profile(&profile_plan(&p, &dearer), &fresh(&p, &dearer), "swapped tree");
+
+        // So do lists rebuilt for the same tree.
+        mark_memo(&p);
+        p.lists = InteractionLists::build(&p.tree);
+        assert_same_profile(&profile_plan(&p, &dearer), &fresh(&p, &dearer), "rebuilt lists");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   points are evaluated onto `B`'s downward-check surface.
 
 use crate::operators::Offset;
-use crate::tree::Octree;
+use crate::tree::{next_stamp, Octree};
 use compat::par;
 
 /// V-list offsets lie in `[-3, 3]³` — 343 codes per level.
@@ -43,6 +43,9 @@ pub struct InteractionLists {
     pub w: Vec<Vec<usize>>,
     /// X list per node.
     pub x: Vec<Vec<usize>>,
+    /// A stamp unique to this build in the process (see
+    /// [`InteractionLists::stamp`]).
+    stamp: u64,
 }
 
 impl InteractionLists {
@@ -108,12 +111,18 @@ impl InteractionLists {
             }
         }
 
-        InteractionLists { u, v, w, x }
+        InteractionLists { u, v, w, x, stamp: next_stamp() }
     }
 
     /// Total number of V translations.
     pub fn v_pair_count(&self) -> usize {
         self.v.iter().map(|l| l.len()).sum()
+    }
+
+    /// A stamp of this build, unique in the process: a clone keeps it,
+    /// and lists built again (even for the same tree) draw a new one.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Every distinct `(target level, source offset)` the V lists

@@ -22,13 +22,18 @@
 //! M2L set — each stage an order-preserving map of pure per-operator
 //! jobs, so the cache is bitwise identical at any thread count.  It is
 //! read-only during evaluation.
+//!
+//! Every operator is stored column-major ([`ColMajor`]): the evaluator
+//! applies each one to thousands of vectors, and the column-major loop
+//! vectorizes across output rows while summing each row exactly as the
+//! row dot product does.
 
 use crate::kernel::Kernel;
 use crate::lists::InteractionLists;
 use crate::surface::{surface_points, RADIUS_INNER, RADIUS_OUTER};
 use crate::tree::Octree;
 use compat::par;
-use dvfs_linalg::{pseudo_inverse, Matrix};
+use dvfs_linalg::{pseudo_inverse, ColMajor, Matrix};
 use std::collections::HashMap;
 
 /// Relative box offset at a common level, in units of the box width.
@@ -39,14 +44,14 @@ pub struct OperatorCache {
     /// Surface order (nodes per cube edge).
     pub p: usize,
     /// `UC2E(l)` at index `l`.
-    uc2e: Vec<Matrix>,
+    uc2e: Vec<ColMajor>,
     /// `DC2E(l)` at index `l`.
-    dc2e: Vec<Matrix>,
+    dc2e: Vec<ColMajor>,
     /// `M2M(l, octant)` at index `8 (l − 1) + octant`.
-    m2m: Vec<Matrix>,
+    m2m: Vec<ColMajor>,
     /// `L2L(l, octant)` at index `8 (l − 1) + octant`.
-    l2l: Vec<Matrix>,
-    m2l: HashMap<(u8, Offset), Matrix>,
+    l2l: Vec<ColMajor>,
+    m2l: HashMap<(u8, Offset), ColMajor>,
 }
 
 /// Relative SVD truncation for the check→equivalent solves.
@@ -90,11 +95,11 @@ impl OperatorCache {
         let mut m2m = par::par_map_vec((0..2 * children).collect(), &|job: usize| {
             let slot = job % children;
             let (level, octant) = (1 + slot / 8, slot % 8);
-            if job < children {
+            ColMajor::from(if job < children {
                 Self::make_m2m(kernel, p, level_hw(level), octant, &uc2e[level - 1])
             } else {
                 Self::make_l2l(kernel, p, level_hw(level), octant, &dc2e[level])
-            }
+            })
         });
         let l2l = m2m.split_off(children);
         // M2L operators for every (level, offset) the V lists realize.
@@ -102,10 +107,14 @@ impl OperatorCache {
         if include_m2l {
             let keys = lists.v_offsets(tree);
             let ops = par::par_map_vec(keys.clone(), &|(level, off): (u8, Offset)| {
-                Self::make_m2l(kernel, p, level_hw(level as usize), off)
+                ColMajor::from(Self::make_m2l(kernel, p, level_hw(level as usize), off))
             });
             m2l.extend(keys.into_iter().zip(ops));
         }
+        let (uc2e, dc2e) = (
+            uc2e.into_iter().map(ColMajor::from).collect(),
+            dc2e.into_iter().map(ColMajor::from).collect(),
+        );
         OperatorCache { p, uc2e, dc2e, m2m, l2l, m2l }
     }
 
@@ -176,22 +185,22 @@ impl OperatorCache {
     }
 
     /// The upward check-to-equivalent solve at `level`.
-    pub fn uc2e(&self, level: u8) -> &Matrix {
+    pub fn uc2e(&self, level: u8) -> &ColMajor {
         &self.uc2e[level as usize]
     }
 
     /// The downward check-to-equivalent solve at `level`.
-    pub fn dc2e(&self, level: u8) -> &Matrix {
+    pub fn dc2e(&self, level: u8) -> &ColMajor {
         &self.dc2e[level as usize]
     }
 
     /// M2M for a child at `child_level` (at least 1) in `octant`.
-    pub fn m2m(&self, child_level: u8, octant: usize) -> &Matrix {
+    pub fn m2m(&self, child_level: u8, octant: usize) -> &ColMajor {
         &self.m2m[Self::child_slot(child_level, octant)]
     }
 
     /// L2L for a child at `child_level` (at least 1) in `octant`.
-    pub fn l2l(&self, child_level: u8, octant: usize) -> &Matrix {
+    pub fn l2l(&self, child_level: u8, octant: usize) -> &ColMajor {
         &self.l2l[Self::child_slot(child_level, octant)]
     }
 
@@ -201,7 +210,7 @@ impl OperatorCache {
     }
 
     /// Dense M2L for a same-level offset, if realized by the tree.
-    pub fn m2l(&self, level: u8, off: Offset) -> Option<&Matrix> {
+    pub fn m2l(&self, level: u8, off: Offset) -> Option<&ColMajor> {
         self.m2l.get(&(level, off))
     }
 

@@ -32,6 +32,7 @@
 use crate::morton;
 use compat::par;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A box address: refinement level plus integer anchor in the level grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,12 +151,26 @@ pub struct Octree {
     pub levels: Vec<Vec<usize>>,
     /// The split threshold `Q`.
     pub max_leaf_points: usize,
-    /// Mutation counter: 0 for a fresh build, bumped by every in-place
-    /// update (see [`Octree::bump_generation`]).  Consumers that cache
-    /// derived partitions of the point slabs (e.g. the evaluator's
+    /// Stamp of the structure — nodes, box ids, children, levels —
+    /// assigned by the build and kept by in-place updates (see
+    /// [`Octree::structure`]).
+    structure: u64,
+    /// Stamp of the current point slabs, replaced by every in-place
+    /// update (see [`Octree::generation`]).  Consumers that cache derived
+    /// partitions of the point slabs (e.g. the evaluator's
     /// [`crate::schedule::PhaseSchedule`]) key their caches on this so a
     /// mutated tree can never serve stale slab boundaries.
     generation: u64,
+}
+
+/// The process-wide source of tree and list stamps.
+static STAMPS: AtomicU64 = AtomicU64::new(0);
+
+/// A stamp no earlier call in this process returned.  `Relaxed` is
+/// enough: the read-modify-write alone makes each value unique, and a
+/// stamp publishes no other data.
+pub(crate) fn next_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// The bounding cube shared by both builders: center and edge length.
@@ -521,6 +536,7 @@ impl Octree {
             levels[l].push(i);
         }
 
+        let stamp = next_stamp();
         Octree {
             nodes,
             points: permuted_points,
@@ -529,7 +545,8 @@ impl Octree {
             index,
             levels,
             max_leaf_points,
-            generation: 0,
+            structure: stamp,
+            generation: stamp,
         }
     }
 
@@ -618,6 +635,7 @@ impl Octree {
             levels[l].push(i);
         }
 
+        let stamp = next_stamp();
         Octree {
             nodes,
             points: permuted_points,
@@ -626,25 +644,44 @@ impl Octree {
             index,
             levels,
             max_leaf_points,
-            generation: 0,
+            structure: stamp,
+            generation: stamp,
         }
     }
 
-    /// The tree's mutation generation: 0 for a fresh build, incremented
-    /// by every in-place mutation.  Derived caches (phase schedules)
-    /// compare this against the generation they were built for.
+    /// A stamp of the tree's point slabs — which points each node owns
+    /// and where its range lies — unique in the process: a build draws a
+    /// fresh one and every in-place mutation ([`Octree::bump_generation`])
+    /// replaces it.  Derived caches (phase schedules, the plan's profile
+    /// memo) compare this against the stamp they were built for, so
+    /// neither a mutated tree nor another tree swapped into a plan can
+    /// serve them stale.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
+    /// A stamp of the tree's structure — its nodes, box ids, children
+    /// and levels — unique in the process: a build draws a fresh one and
+    /// in-place mutation keeps it, because such a mutation may move
+    /// points and slab ranges but never the structure.  What depends on
+    /// the structure alone (the V phase's counters) keys on this.
+    pub fn structure(&self) -> u64 {
+        self.structure
+    }
+
     /// Records an in-place mutation of the tree's point slabs or ranges.
     ///
-    /// Anything that rewrites `points`/`densities`/`permutation` or a
-    /// node's `point_range` without rebuilding the tree (the streaming
-    /// engine's incremental update does) must call this so
-    /// generation-keyed caches are invalidated.
+    /// Anything that moves points between slabs — rewrites `permutation`
+    /// or a node's `point_range` — without rebuilding the tree (the
+    /// streaming engine's incremental update does) must call this so
+    /// generation-keyed caches are invalidated.  Rewriting coordinates
+    /// or densities in place while every point keeps its slot needs no
+    /// bump: no generation-keyed cache reads them (the streaming engine
+    /// refreshes the plan's SoA mirror itself).  Such an update must keep
+    /// the structure ([`Octree::structure`]); a structural change is a
+    /// rebuild.
     pub fn bump_generation(&mut self) {
-        self.generation += 1;
+        self.generation = next_stamp();
     }
 
     /// Node index of a box address, if the box exists.

@@ -8,6 +8,8 @@
 //! scratch:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra.
+//! * [`ColMajor`] — a column-major copy of a fixed operator, applied to
+//!   many vectors with a loop that vectorizes across output rows.
 //! * [`qr`] — Householder QR factorization and least-squares solves.
 //! * [`cholesky`] — Cholesky factorization for symmetric positive-definite
 //!   systems.
@@ -19,6 +21,7 @@
 //! reuse workspace where it matters for the FMM's precompute step.
 
 pub mod cholesky;
+pub mod colmajor;
 pub mod matrix;
 pub mod nnls;
 pub mod pinv;
@@ -26,6 +29,7 @@ pub mod qr;
 pub mod svd;
 
 pub use cholesky::Cholesky;
+pub use colmajor::ColMajor;
 pub use matrix::Matrix;
 pub use nnls::{nnls, nnls_ridge, NnlsOptions, NnlsSolution};
 pub use pinv::{pseudo_inverse, regularized_pseudo_inverse};

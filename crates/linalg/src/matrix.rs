@@ -101,6 +101,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The row-major data, consuming the matrix.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Borrow of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -143,10 +148,10 @@ impl Matrix {
     }
 
     /// Matrix–vector product `A x` written into a caller-owned buffer
-    /// (overwriting) — the allocation-free form hot loops use.  Same
-    /// reduction order as [`Matrix::matvec`], so the results are
-    /// bit-identical.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+    /// (overwriting), one row dot product per entry — the reference the
+    /// column-major [`crate::ColMajor::apply_into`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(out.len(), self.rows, "matvec output length mismatch");
         for (i, yi) in out.iter_mut().enumerate() {
@@ -154,8 +159,10 @@ impl Matrix {
         }
     }
 
-    /// Matrix–vector product accumulated onto `out`: `out += A x`.
-    pub fn matvec_acc(&self, x: &[f64], out: &mut [f64]) {
+    /// Matrix–vector product accumulated onto `out`: `out += A x`, the
+    /// reference for [`crate::ColMajor::apply_acc`].
+    #[cfg(test)]
+    pub(crate) fn matvec_acc(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(out.len(), self.rows, "matvec output length mismatch");
         for (i, yi) in out.iter_mut().enumerate() {

@@ -120,6 +120,21 @@ for pair in fmm-scaling:BENCH_fmm.json governor:BENCH_governor.json \
     repro "${pair%%:*}" --check "${pair#*:}"
 done
 
+echo "==> stream, fleet, governor: regenerate, then compare bytes"
+# These three artifacts rebuild in well under a second each, so every
+# run regenerates them and requires the committed file byte for byte:
+# their digests, counters and energies pin the evaluator, the counter
+# pass, the governor and the streaming engine exactly, where the checks
+# above only test each file's gates.  The governor file records the
+# pool width, and was recorded at one thread.
+mkdir -p target
+repro stream --out target/BENCH_stream_cmp.json >/dev/null
+cmp target/BENCH_stream_cmp.json BENCH_stream.json
+repro fleet --scale-shift 6 --out target/BENCH_fleet_cmp.json >/dev/null
+cmp target/BENCH_fleet_cmp.json BENCH_fleet.json
+FMM_ENERGY_THREADS=1 repro governor --scale-shift 6 --out target/BENCH_governor_cmp.json >/dev/null
+cmp target/BENCH_governor_cmp.json BENCH_governor.json
+
 echo "==> service: soak, clean + faulted (tests/service.rs, release)"
 # The 10k-request soak: lossless, bounded queues, golden digest across
 # shard counts; under the default fault campaign it must degrade

@@ -117,7 +117,7 @@ fn fmm_phase_counters_are_identical_across_runs() {
 /// order.
 fn assert_same_operators(got: &FmmPlan, want: &FmmPlan, threads: usize) {
     let bits =
-        |m: &dvfs_linalg::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        |m: &dvfs_linalg::ColMajor| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(got.tree.depth(), want.tree.depth());
     for level in 0..=want.tree.depth() {
         let (g, w) = (&got.ops, &want.ops);

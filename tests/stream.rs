@@ -20,8 +20,10 @@ use compat::rng::StdRng;
 use dvfs_bench::try_fitted_model;
 use dvfs_microbench::SweepConfig;
 use fmm_energy::fmm::evaluator::{FmmPlan, M2lMethod};
-use fmm_energy::fmm::FmmEvaluator;
-use fmm_energy::stream::{run_suite, DynamicConfig, DynamicOctree, MotionModel, StreamConfig};
+use fmm_energy::fmm::{profile_plan, profile_shape, CostModel, FmmEvaluator};
+use fmm_energy::stream::{
+    run_suite, DynamicConfig, DynamicOctree, MotionModel, StreamConfig, UpdateOutcome,
+};
 
 fn cloud(n: usize, seed: u64) -> (Vec<[f64; 3]>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -118,4 +120,43 @@ fn drift_soak_matches_fresh_builds_bitwise_in_both_regimes() {
             assert!(stats.rebuilds > 0, "{label}: expected rebuild fallbacks, got {stats:?}");
         }
     }
+}
+
+/// `profile_plan` answers from the plan's profile memo: the V phase's
+/// counters across in-place repairs, the whole profile across steps
+/// where no point changed leaf.  At every step of a full 500-step cycle
+/// at the `stream_drift` benchmark's settings (n = 1536, q = 48, churn
+/// 0.008, steps of up to 3%), at a forced rebuild and over a few steps
+/// of the rebuilt plan, it must equal a from-scratch `profile_shape`
+/// over the same tree and lists in all 6 × 17 counters, utilizations
+/// and launches.  An unoptimized build runs the cycle's first 20 steps,
+/// then the rebuild.
+#[test]
+fn memoized_profiles_equal_fresh_ones_over_a_drift_cycle() {
+    let (points, densities) = cloud(1536, 0xD21F7);
+    let cfg = DynamicConfig { q: 48, ..DynamicConfig::default() };
+    let mut dt = DynamicOctree::new(&points, &densities, cfg);
+    let drift = MotionModel { seed: 0x3071_0AE2, churn: 0.008, step_frac: 0.03 };
+    let violent = MotionModel { seed: 0x3071_0AE2, churn: 0.9, step_frac: 0.5 };
+    let cost = CostModel::default();
+    let cycle = if cfg!(debug_assertions) { 20 } else { 500 };
+    for step in 0..cycle + 6 {
+        let outcome = dt.advance(if step == cycle { &violent } else { &drift });
+        if step == cycle {
+            assert!(matches!(outcome, UpdateOutcome::Rebuilt { .. }), "{outcome:?}");
+        }
+        let plan = dt.plan();
+        let got = profile_plan(plan, &cost);
+        let want = profile_shape(&plan.tree, &plan.lists, plan.p, plan.method, &cost);
+        assert_eq!((got.n, got.q), (want.n, want.q));
+        for (g, w) in got.phases.iter().zip(&want.phases) {
+            let at = format!("step {step} ({outcome:?}), {:?}", g.phase);
+            assert_eq!(g.counters.snapshot(), w.counters.snapshot(), "{at}");
+            assert_eq!(g.utilization.to_bits(), w.utilization.to_bits(), "{at}");
+            assert_eq!(g.launches, w.launches, "{at}");
+        }
+    }
+    let stats = dt.stats();
+    assert_eq!(stats.rebuilds, 1, "{stats:?}");
+    assert!(stats.in_place > 0 && stats.migrants > 0, "{stats:?}");
 }
