@@ -7,7 +7,7 @@
 //! `BenchmarkId`, `Bencher::iter`) are drop-in compatible.
 //!
 //! Measurement protocol per benchmark: calibrate the iteration count by
-//! doubling until one batch takes at least [`TARGET_BATCH`], then time
+//! doubling until one batch takes at least `TARGET_BATCH` (10 ms), then time
 //! `sample_size` batches and report the median per-iteration time with
 //! the median absolute deviation (MAD) as the robust spread estimate.
 //!

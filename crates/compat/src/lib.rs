@@ -20,7 +20,7 @@
 //! * [`prop`] — a property-testing microframework with seeded
 //!   generators, failure-case shrinking and a `proptest!`-compatible
 //!   macro surface (replaces `proptest`).
-//! * [`bench`] — a warmup/median/MAD timer harness with a
+//! * [`bench`](mod@bench) — a warmup/median/MAD timer harness with a
 //!   criterion-compatible macro surface and a `--quick` smoke mode
 //!   (replaces `criterion`).
 
@@ -30,7 +30,7 @@
 //! * [`error`] — the workspace-wide [`error::PipelineError`] enum used by
 //!   the hardened measurement-to-fit pipeline (not a shim; it lives here
 //!   because `compat` is the one crate every layer can name).
-//! * [`env`] — typed accessors for the `FMM_ENERGY_*` environment
+//! * [`env`](mod@env) — typed accessors for the `FMM_ENERGY_*` environment
 //!   variables (not a shim; it lives here for the same reason as
 //!   [`error`] — every layer that reads a knob can name `compat`).
 

@@ -768,7 +768,7 @@ pub mod collection {
     use super::{BoxTree, Strategy, ValueTree};
     use crate::rng::StdRng;
 
-    /// A half-open length range for [`vec`]; converts from `usize`
+    /// A half-open length range for [`vec`](fn@vec); converts from `usize`
     /// (exact length) and `Range<usize>`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
@@ -791,7 +791,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -5,10 +5,6 @@
 //! generators cover both regimes (all seeded and deterministic):
 //!
 //! * [`uniform_cube`] — the paper's setup.
-//! * [`uniform_ball`] — rejection-free uniform sampling in a ball.
-//! * [`sphere_surface`] — points on a spherical shell: every octree box
-//!   along the surface splits deeply while the interior stays empty, the
-//!   classic adaptive stress case.
 //! * [`plummer`] — the Plummer model, the standard astrophysical cluster
 //!   profile (`ρ ∝ (1 + r²/a²)^{-5/2}`), radially heavy-tailed.
 //! * [`two_clusters`] — a bimodal merger scene.
@@ -19,33 +15,6 @@ use compat::rng::StdRng;
 pub fn uniform_cube(n: usize, seed: u64) -> Vec<[f64; 3]> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| [rng.random(), rng.random(), rng.random()]).collect()
-}
-
-/// Uniform points in the ball of radius ½ centered at (½, ½, ½).
-pub fn uniform_ball(n: usize, seed: u64) -> Vec<[f64; 3]> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            // Direction from a Gaussian triple, radius via cube-root law.
-            let dir = gaussian_direction(&mut rng);
-            let r = 0.5 * rng.random::<f64>().cbrt();
-            [0.5 + r * dir[0], 0.5 + r * dir[1], 0.5 + r * dir[2]]
-        })
-        .collect()
-}
-
-/// Points on the sphere of radius ½ centered at (½, ½, ½), with an
-/// optional shell thickness (relative, e.g. `0.01`).
-pub fn sphere_surface(n: usize, thickness: f64, seed: u64) -> Vec<[f64; 3]> {
-    assert!((0.0..1.0).contains(&thickness), "thickness is a small fraction");
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let dir = gaussian_direction(&mut rng);
-            let r = 0.5 * (1.0 - thickness * rng.random::<f64>());
-            [0.5 + r * dir[0], 0.5 + r * dir[1], 0.5 + r * dir[2]]
-        })
-        .collect()
 }
 
 /// The Plummer model with scale radius `a`, clipped into the unit cube
@@ -112,6 +81,35 @@ fn gaussian_direction(rng: &mut StdRng) -> [f64; 3] {
 mod tests {
     use super::*;
     use crate::tree::Octree;
+
+    /// Uniform points in the ball of radius ½ centered at (½, ½, ½).
+    fn uniform_ball(n: usize, seed: u64) -> Vec<[f64; 3]> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                // Direction from a Gaussian triple, radius via cube-root law.
+                let dir = gaussian_direction(&mut rng);
+                let r = 0.5 * rng.random::<f64>().cbrt();
+                [0.5 + r * dir[0], 0.5 + r * dir[1], 0.5 + r * dir[2]]
+            })
+            .collect()
+    }
+
+    /// Points on the sphere of radius ½ centered at (½, ½, ½), with a
+    /// relative shell thickness: every octree box along the surface
+    /// splits deeply while the interior stays empty, the classic
+    /// adaptive stress case.
+    fn sphere_surface(n: usize, thickness: f64, seed: u64) -> Vec<[f64; 3]> {
+        assert!((0.0..1.0).contains(&thickness), "thickness is a small fraction");
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let dir = gaussian_direction(&mut rng);
+                let r = 0.5 * (1.0 - thickness * rng.random::<f64>());
+                [0.5 + r * dir[0], 0.5 + r * dir[1], 0.5 + r * dir[2]]
+            })
+            .collect()
+    }
 
     #[test]
     fn all_generators_fill_the_unit_cube() {

@@ -20,6 +20,12 @@
 //!   of allocating and first-touching it on every call.  `up_equiv`,
 //!   `down_equiv` and the spectra are fully overwritten by every
 //!   evaluation; `down_check`, which V and X add into, is re-zeroed.
+//! * **Step memo.**  A plan armed with [`FmmPlan::arm_step_memo`] holds
+//!   its own `up_equiv` and spectra, plus each leaf's U-list partials,
+//!   with a snapshot of the points they came from; an evaluation
+//!   recomputes only the entries of boxes whose points changed bit for
+//!   bit, and adds the kept partials in list order, so its potentials
+//!   are those of an unarmed plan.
 //! * **Column-major operators.** Every translation operator is applied
 //!   through [`dvfs_linalg::ColMajor`], which sums each output row
 //!   exactly as a row dot product does but vectorizes across rows.
@@ -71,7 +77,7 @@ use compat::par::{self, par_for_each_chunked_init, SendPtr};
 use compat::sync::RwLock;
 use dvfs_fft::Complex;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// A coarse engine phase, as seen by a [`PhaseObserver`].
@@ -217,6 +223,8 @@ pub struct FmmPlan<K: Kernel = LaplaceKernel> {
     schedule: RwLock<Option<Arc<PhaseSchedule>>>,
     /// The last profile [`crate::profile_plan`] produced for this plan.
     pub(crate) profile_memo: RwLock<Option<ProfileMemo>>,
+    /// The step memo, once armed (see [`FmmPlan::arm_step_memo`]).
+    step_memo: Option<Mutex<StepMemo>>,
 }
 
 impl FmmPlan<LaplaceKernel> {
@@ -270,7 +278,23 @@ impl<K: Kernel> FmmPlan<K> {
             tpl_outer,
             schedule: RwLock::new(None),
             profile_memo: RwLock::new(None),
+            step_memo: None,
         }
+    }
+
+    /// Arms the step memo: every later evaluation keeps, per box, the
+    /// upward equivalent, the V source spectrum and the U-list partials it
+    /// computed, with a snapshot of the points they came from, and the
+    /// next evaluation recomputes only the entries of boxes whose points
+    /// changed.  Potentials are bit for bit those of an unarmed plan.
+    /// Meant for a plan re-evaluated after small in-place updates, such
+    /// as a time-stepped caller's: it costs 8 B per target point per
+    /// U-list box, plus the V phase's source spectra, for as long as the
+    /// plan lives.  The entries are keyed on the tree's structure, the
+    /// lists, `p` and the method; the kernel, operators and surface
+    /// templates must stay those the plan was built with.
+    pub fn arm_step_memo(&mut self) {
+        self.step_memo.get_or_insert_with(Mutex::default);
     }
 
     /// Surface points per box.
@@ -346,6 +370,129 @@ fn prefix(arena: &mut Vec<f64>, len: usize) -> &mut [f64] {
     &mut arena[..len]
 }
 
+/// What an armed plan's last evaluation computed per box, and the inputs
+/// it computed it from (see [`FmmPlan::arm_step_memo`]).
+///
+/// Validity comes from content: a leaf is *clean* while its slab — its
+/// target points and its SoA sources — equals the snapshot taken at the
+/// last evaluation bit for bit, length included, and a box is clean when
+/// every leaf under it is.  An evaluation reuses, unrecomputed:
+///
+/// * a clean box's upward equivalent (P2M + UC2E at a leaf, M2M above);
+/// * a V source's forward spectrum, when both boxes of its two-for-one
+///   pair are clean — the packed transform couples the two at rounding
+///   level;
+/// * per target leaf and U-list entry, the values `p2p_soa` would add to
+///   the leaf's targets, when the target and the source leaf are clean;
+///   they are added in list order, as the unmemoized pass adds them.
+///
+/// Each entry is a deterministic function of the clean inputs, so reuse
+/// changes no bit.  V accumulation, DOWN and L2P are recomputed, since
+/// they carry the far field, which any moved point changes, and so are
+/// X and W, which are empty on a uniform tree.  The entries
+/// are keyed on the tree's structure and list stamps, the surface order
+/// and the method, and are valid only once an evaluation has returned:
+/// an evaluation takes the memo out of the plan and puts it back when it
+/// completes, so one that unwinds leaves an empty memo behind.
+#[derive(Default)]
+pub(crate) struct StepMemo {
+    /// What the entries were computed for; `None` until an evaluation
+    /// completes.
+    key: Option<MemoKey>,
+    /// The tree's points at that evaluation.
+    points: Vec<[f64; 3]>,
+    /// The plan's SoA sources at that evaluation.
+    soa: SoaSources,
+    /// Every node's point range at that evaluation.
+    ranges: Vec<(usize, usize)>,
+    up_equiv: Vec<f64>,
+    spec_re: Vec<f64>,
+    spec_im: Vec<f64>,
+    /// Per leaf, one row of `nt` values per U-list entry: what the entry
+    /// adds to each of the leaf's `nt` targets.
+    u_rows: Vec<Vec<f64>>,
+}
+
+/// The plan state a [`StepMemo`]'s node-indexed entries are valid for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MemoKey {
+    structure: u64,
+    lists: u64,
+    p: usize,
+    method: M2lMethod,
+}
+
+impl MemoKey {
+    fn of<K: Kernel>(plan: &FmmPlan<K>) -> Self {
+        MemoKey {
+            structure: plan.tree.structure(),
+            lists: plan.lists.stamp(),
+            p: plan.p,
+            method: plan.method,
+        }
+    }
+}
+
+/// Whether two `f64` slices are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+impl StepMemo {
+    /// Per node, whether the box is clean (see [`StepMemo`]); all
+    /// `false` when the entries were computed for another `key`.
+    fn clean_boxes<K: Kernel>(&self, plan: &FmmPlan<K>, key: MemoKey) -> Vec<bool> {
+        let tree = &plan.tree;
+        let mut clean = vec![false; tree.nodes.len()];
+        if self.key != Some(key) {
+            return clean;
+        }
+        let (now, then) = (&plan.soa, &self.soa);
+        for level in tree.levels.iter().rev() {
+            for &ni in level {
+                let node = &tree.nodes[ni];
+                clean[ni] = if node.is_leaf() {
+                    let (s, e) = node.point_range;
+                    let (os, oe) = self.ranges[ni];
+                    same_bits(tree.points[s..e].as_flattened(), self.points[os..oe].as_flattened())
+                        && same_bits(&now.x[s..e], &then.x[os..oe])
+                        && same_bits(&now.y[s..e], &then.y[os..oe])
+                        && same_bits(&now.z[s..e], &then.z[os..oe])
+                        && same_bits(&now.q[s..e], &then.q[os..oe])
+                } else {
+                    node.children.iter().flatten().all(|&c| clean[c])
+                };
+            }
+        }
+        clean
+    }
+
+    /// Snapshots the inputs the entries were just computed from and marks
+    /// them valid for `key`.
+    fn record<K: Kernel>(&mut self, plan: &FmmPlan<K>, key: MemoKey) {
+        let tree = &plan.tree;
+        self.points.clone_from(&tree.points);
+        self.soa.clone_from(&plan.soa);
+        self.ranges.clear();
+        self.ranges.extend(tree.nodes.iter().map(|node| node.point_range));
+        self.key = Some(key);
+    }
+}
+
+/// The memo's lock, unless another evaluation holds it.  An evaluation
+/// that unwound poisoned the lock but left an empty memo in it, which any
+/// later evaluation may refill.
+fn try_lock_memo(memo: &Mutex<StepMemo>) -> Option<MutexGuard<'_, StepMemo>> {
+    match memo.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => {
+            memo.clear_poison();
+            Some(poisoned.into_inner())
+        }
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// The evaluator.  Stateless; the kernel lives in the plan, and the
 /// arenas are kept per calling thread.
 #[derive(Debug, Default)]
@@ -410,7 +557,18 @@ impl FmmEvaluator {
         // A thread being torn down has no arenas to lend; it evaluates
         // in fresh ones.
         let mut arenas = ARENAS.try_with(Cell::take).unwrap_or_default();
-        let result = Self::evaluate_in(plan, with_grad, obs, &mut arenas);
+        // Gradient evaluations neither read nor write the step memo, and
+        // an evaluation that finds it taken runs without it.
+        let guard = plan.step_memo.as_ref().filter(|_| !with_grad).and_then(try_lock_memo);
+        let result = match guard {
+            Some(mut guard) => {
+                let mut memo = std::mem::take(&mut *guard);
+                let result = Self::evaluate_in(plan, with_grad, obs, &mut arenas, Some(&mut memo));
+                *guard = memo;
+                result
+            }
+            None => Self::evaluate_in(plan, with_grad, obs, &mut arenas, None),
+        };
         let _ = ARENAS.try_with(|kept| kept.set(arenas));
         result
     }
@@ -420,6 +578,7 @@ impl FmmEvaluator {
         with_grad: bool,
         mut obs: Option<&mut dyn PhaseObserver>,
         arenas: &mut Arenas,
+        mut memo: Option<&mut StepMemo>,
     ) -> (Vec<f64>, Vec<[f64; 3]>, PhaseTimings) {
         let tree = &plan.tree;
         let ns = plan.ns();
@@ -431,11 +590,25 @@ impl FmmEvaluator {
         let sched = plan.schedule();
         let mut timings = PhaseTimings::default();
         let t_total = Instant::now();
+        // With a memo, the upward equivalents and the spectra live in it,
+        // and a clean box's entries are kept instead of recomputed.
+        let key = MemoKey::of(plan);
+        let clean = match memo.as_deref() {
+            Some(m) => m.clean_boxes(plan, key),
+            None => vec![false; n_nodes],
+        };
+        let (up_arena, spec_re_arena, spec_im_arena, u_rows) = match memo.as_deref_mut() {
+            Some(m) => {
+                m.u_rows.resize_with(n_nodes, Vec::new);
+                (&mut m.up_equiv, &mut m.spec_re, &mut m.spec_im, Some(&mut m.u_rows))
+            }
+            None => (&mut arenas.up_equiv, &mut arenas.spec_re, &mut arenas.spec_im, None),
+        };
 
         // ---- UP: P2M at leaves, M2M bottom-up. ----------------------
         phase_start(&mut obs, EnginePhase::Up);
         let t = Instant::now();
-        let up_equiv = prefix(&mut arenas.up_equiv, n_nodes * ns);
+        let up_equiv = prefix(up_arena, n_nodes * ns);
         {
             let base = SendPtr::new(up_equiv.as_mut_ptr());
             for level in (0..tree.levels.len()).rev() {
@@ -443,6 +616,9 @@ impl FmmEvaluator {
                     &sched.level_chunks[level],
                     || UpScratch { surf: Vec::new(), check: vec![0.0; ns] },
                     |scr, ni| {
+                        if clean[ni] {
+                            return;
+                        }
                         let node = &tree.nodes[ni];
                         // SAFETY: each task writes only its own node's
                         // slice; child reads touch slices finalized in
@@ -492,8 +668,8 @@ impl FmmEvaluator {
                 // (2i, 2i+1) — chunks partition the *pair list* — so the
                 // spectra, and hence all downstream bits, do not depend
                 // on the thread count or the chunk boundaries.
-                let spec_re = prefix(&mut arenas.spec_re, sources.len() * hlen);
-                let spec_im = prefix(&mut arenas.spec_im, sources.len() * hlen);
+                let spec_re = prefix(spec_re_arena, sources.len() * hlen);
+                let spec_im = prefix(spec_im_arena, sources.len() * hlen);
                 {
                     let base_re = SendPtr::new(spec_re.as_mut_ptr());
                     let base_im = SendPtr::new(spec_im.as_mut_ptr());
@@ -503,6 +679,9 @@ impl FmmEvaluator {
                         |grid, pi| {
                             let a = 2 * pi;
                             let b = a + 1;
+                            if clean[sources[a]] && sources.get(b).is_none_or(|&sb| clean[sb]) {
+                                return;
+                            }
                             let da = &up_equiv[sources[a] * ns..(sources[a] + 1) * ns];
                             // SAFETY: pair `pi` owns exactly the spectrum
                             // slots `2pi` and `2pi + 1`.
@@ -674,6 +853,7 @@ impl FmmEvaluator {
         {
             let out_base = SendPtr::new(out.as_mut_ptr());
             let grad_base = with_grad.then(|| SendPtr::new(out_grad.as_mut_ptr()));
+            let rows_base = u_rows.map(|rows| SendPtr::new(rows.as_mut_ptr()));
             par_for_each_chunked_init(
                 &sched.leaf_chunks,
                 || LeafScratch {
@@ -716,15 +896,38 @@ impl FmmEvaluator {
                         }
                     }
                     // U: direct near-field over SoA source ranges.
-                    for &ui in &plan.lists.u[li] {
-                        let (us, ue) = tree.nodes[ui].point_range;
-                        plan.kernel.p2p_soa(targets, plan.soa.range(us, ue), &mut scr.pot);
-                        if with_grad {
-                            plan.kernel.p2p_grad_soa(
-                                targets,
-                                plan.soa.range(us, ue),
-                                &mut scr.grad,
-                            );
+                    let u_list = &plan.lists.u[li];
+                    if let Some(rb) = rows_base.filter(|_| !targets.is_empty()) {
+                        // SAFETY: `rb` points at `u_rows`, resized to
+                        // `n_nodes > li` above, and each leaf is one task,
+                        // so no other task touches `u_rows[li]`.
+                        let rows = unsafe { &mut *rb.get().add(li) };
+                        if !clean[li] {
+                            rows.resize(targets.len() * u_list.len(), 0.0);
+                        }
+                        for (row, &ui) in rows.chunks_exact_mut(targets.len()).zip(u_list) {
+                            if !clean[li] || !clean[ui] {
+                                // Into a zeroed row, p2p_soa writes the
+                                // exact values it adds (see its docs).
+                                let (us, ue) = tree.nodes[ui].point_range;
+                                row.fill(0.0);
+                                plan.kernel.p2p_soa(targets, plan.soa.range(us, ue), row);
+                            }
+                            for (p, v) in scr.pot.iter_mut().zip(row.iter()) {
+                                *p += v;
+                            }
+                        }
+                    } else {
+                        for &ui in u_list {
+                            let (us, ue) = tree.nodes[ui].point_range;
+                            plan.kernel.p2p_soa(targets, plan.soa.range(us, ue), &mut scr.pot);
+                            if with_grad {
+                                plan.kernel.p2p_grad_soa(
+                                    targets,
+                                    plan.soa.range(us, ue),
+                                    &mut scr.grad,
+                                );
+                            }
                         }
                     }
                     // Scatter straight to original point order.
@@ -744,6 +947,9 @@ impl FmmEvaluator {
         }
         timings.near_s = t.elapsed().as_secs_f64();
         phase_end(&mut obs, EnginePhase::Near, timings.near_s);
+        if let Some(m) = memo {
+            m.record(plan, key);
+        }
         timings.total_s = t_total.elapsed().as_secs_f64();
         (out, out_grad, timings)
     }
@@ -966,6 +1172,117 @@ mod tests {
         let expected: Vec<(EnginePhase, bool)> =
             EnginePhase::ALL.iter().flat_map(|&p| [(p, true), (p, false)]).collect();
         assert_eq!(rec.events, expected, "start/end for each phase, in execution order");
+    }
+
+    #[test]
+    fn a_plan_keeps_no_step_memo_unless_armed() {
+        let (pts, den) = random_problem(900, 61);
+        let plan = FmmPlan::new(&pts, &den, 32, 4, M2lMethod::Fft);
+        let ev = FmmEvaluator::new();
+        assert_eq!(ev.evaluate(&plan), ev.evaluate(&plan));
+        assert!(plan.step_memo.is_none(), "an unarmed plan evaluated twice holds no memo");
+    }
+
+    /// Moves `plan`'s point `j` by `dx` along x and scales its density by
+    /// `scale`, in the tree and in the SoA mirror alike.
+    fn nudge(plan: &mut FmmPlan, j: usize, dx: f64, scale: f64) {
+        plan.tree.points[j][0] += dx;
+        plan.soa.x[j] += dx;
+        plan.tree.densities[j] *= scale;
+        plan.soa.q[j] *= scale;
+    }
+
+    #[test]
+    fn an_armed_plan_recomputes_what_changed_and_survives_an_unwind() {
+        // A clustered cloud, so internal boxes are V sources too and a
+        // stale M2M would show.
+        let (_, den) = random_problem(1500, 62);
+        let pts = crate::distributions::plummer(1500, 0.1, 62);
+        let mut armed = FmmPlan::new(&pts, &den, 40, 4, M2lMethod::Fft);
+        armed.arm_step_memo();
+        let mut plain = FmmPlan::new(&pts, &den, 40, 4, M2lMethod::Fft);
+        let ev = FmmEvaluator::new();
+        let bits = |plan: &FmmPlan| -> Vec<u64> {
+            ev.evaluate(plan).iter().map(|v| v.to_bits()).collect()
+        };
+        fn lock(plan: &FmmPlan) -> MutexGuard<'_, StepMemo> {
+            let memo = plan.step_memo.as_ref().expect("armed");
+            memo.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+        let memo_valid = |plan: &FmmPlan| lock(plan).key.is_some();
+        // The leaves the memo holds stale entries for.
+        let dirty_leaves = |plan: &FmmPlan| -> Vec<usize> {
+            let clean = lock(plan).clean_boxes(plan, MemoKey::of(plan));
+            let nodes = plan.tree.nodes.iter().enumerate();
+            nodes.filter(|&(ni, node)| node.is_leaf() && !clean[ni]).map(|(ni, _)| ni).collect()
+        };
+        let leaf_of = |plan: &FmmPlan, j: usize| {
+            plan.tree
+                .nodes
+                .iter()
+                .position(|n| n.is_leaf() && (n.point_range.0..n.point_range.1).contains(&j))
+        };
+        assert_eq!(bits(&armed), bits(&plain), "first evaluation");
+        assert!(memo_valid(&armed));
+        assert!(dirty_leaves(&armed).is_empty());
+        // Points moved inside their leaves and a changed density dirty
+        // their leaves only; the rest comes from the memo.
+        for (j, dx, scale) in [(17, 1e-7, 1.0), (900, -2e-7, 1.0), (1200, 0.0, -3.0)] {
+            nudge(&mut armed, j, dx, scale);
+            nudge(&mut plain, j, dx, scale);
+            assert_eq!(dirty_leaves(&armed), Vec::from_iter(leaf_of(&armed, j)), "point {j}");
+            assert_eq!(bits(&armed), bits(&plain), "point {j} changed");
+        }
+        // Gradient evaluations bypass the memo and agree with it.
+        let with_grad = ev.evaluate_with_gradient(&armed).0;
+        assert_eq!(with_grad.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits(&plain));
+
+        // An evaluation that finds the memo taken runs without it and
+        // leaves it as it was.
+        nudge(&mut armed, 33, 1e-7, 1.0);
+        nudge(&mut plain, 33, 1e-7, 1.0);
+        {
+            let _taken = lock(&armed);
+            assert_eq!(bits(&armed), bits(&plain), "memo taken");
+        }
+        assert_eq!(dirty_leaves(&armed), Vec::from_iter(leaf_of(&armed, 33)));
+        assert_eq!(bits(&armed), bits(&plain), "memo free again");
+
+        // An evaluation that unwinds leaves the memo empty, and the next
+        // one recomputes everything.
+        struct Panicky;
+        impl PhaseObserver for Panicky {
+            fn on_phase_start(&mut self, _: EnginePhase) {}
+            fn on_phase_end(&mut self, phase: EnginePhase, _: f64) {
+                assert_ne!(phase, EnginePhase::V, "observer gives up after V");
+            }
+        }
+        nudge(&mut armed, 5, 3e-7, 1.0);
+        nudge(&mut plain, 5, 3e-7, 1.0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ev.evaluate_observed(&armed, &mut Panicky)
+        }));
+        assert!(unwound.is_err());
+        assert!(!memo_valid(&armed), "an unwound evaluation leaves no valid entry");
+        assert_eq!(bits(&armed), bits(&plain), "after the unwind");
+        assert!(memo_valid(&armed));
+
+        // Lists built again, even for the same tree and points, leave
+        // every entry stale: the memo is keyed on their stamp.
+        armed.lists = InteractionLists::build(&armed.tree);
+        let leaves = armed.tree.nodes.iter().filter(|n| n.is_leaf()).count();
+        assert_eq!(dirty_leaves(&armed).len(), leaves, "new lists");
+        assert_eq!(bits(&armed), bits(&plain), "new lists");
+
+        // A clean leaf's kept U row is reused, not recomputed: a value
+        // planted in it reaches the leaf's first target.
+        let nodes = &armed.tree.nodes;
+        let li = (0..nodes.len())
+            .find(|&ni| nodes[ni].is_leaf() && nodes[ni].point_range.0 < nodes[ni].point_range.1)
+            .expect("a non-empty leaf");
+        lock(&armed).u_rows[li][0] = f64::NAN;
+        let first = armed.tree.permutation[nodes[li].point_range.0];
+        assert!(ev.evaluate(&armed)[first].is_nan(), "kept row reused");
     }
 
     #[test]

@@ -184,14 +184,10 @@ impl FftM2l {
         self.m * self.m * self.m
     }
 
-    /// Number of precomputed spectra.
-    pub fn spectrum_count(&self) -> usize {
-        self.spectra.len()
-    }
-
     /// Embeds a source box's equivalent densities in the convolution grid
     /// and returns its forward transform (done once per source box).
-    pub fn source_spectrum(&self, equiv_densities: &[f64]) -> Vec<Complex> {
+    #[cfg(test)]
+    fn source_spectrum(&self, equiv_densities: &[f64]) -> Vec<Complex> {
         assert_eq!(equiv_densities.len(), self.coords.len());
         let m = self.m;
         let mut grid = vec![Complex::ZERO; self.grid_len()];
@@ -202,10 +198,10 @@ impl FftM2l {
         grid
     }
 
-    /// Like [`FftM2l::source_spectrum`], but writes the transform into a
+    /// Like `FftM2l::source_spectrum`, but writes the transform into a
     /// caller-provided buffer of length [`FftM2l::grid_len`] — the
     /// allocation-free form the evaluator's spectrum arena uses.
-    pub fn source_spectrum_into(&self, equiv_densities: &[f64], grid: &mut [Complex]) {
+    fn source_spectrum_into(&self, equiv_densities: &[f64], grid: &mut [Complex]) {
         assert_eq!(equiv_densities.len(), self.coords.len());
         assert_eq!(grid.len(), self.grid_len());
         let m = self.m;
@@ -318,7 +314,7 @@ impl FftM2l {
     /// *adds* the surface-node values into `out` (length = surface point
     /// count) — letting the evaluator accumulate straight into its
     /// `down_check` arena slice.
-    pub fn finish_acc_into(&self, acc: &mut [Complex], out: &mut [f64]) {
+    fn finish_acc_into(&self, acc: &mut [Complex], out: &mut [f64]) {
         assert_eq!(out.len(), self.coords.len());
         assert_eq!(acc.len(), self.grid_len());
         let m = self.m;
@@ -401,7 +397,7 @@ impl FftM2l {
     /// Expands a split half-grid accumulator to the full complex cube
     /// (by Hermitian symmetry, into the caller's `scratch`),
     /// inverse-transforms it, and *adds* the surface-node values into
-    /// `out` — the split-path twin of [`FftM2l::finish_acc_into`].
+    /// `out` — the split-path twin of `FftM2l::finish_acc_into`.
     pub fn finish_split_acc_into(
         &self,
         acc_re: &[f64],
@@ -492,8 +488,9 @@ impl FftM2l {
     /// (`F1[k] = (F[k] + conj(F[−k]))/2`, `F2[k] = (F[k] − conj(F[−k]))/(2i)`).
     ///
     /// Halves the forward-transform cost of the V phase; the result is
-    /// identical (to rounding) to two [`FftM2l::source_spectrum`] calls.
-    pub fn source_spectrum_pair(&self, d1: &[f64], d2: &[f64]) -> (Vec<Complex>, Vec<Complex>) {
+    /// identical (to rounding) to two `FftM2l::source_spectrum` calls.
+    #[cfg(test)]
+    fn source_spectrum_pair(&self, d1: &[f64], d2: &[f64]) -> (Vec<Complex>, Vec<Complex>) {
         assert_eq!(d1.len(), self.coords.len());
         assert_eq!(d2.len(), self.coords.len());
         let m = self.m;
@@ -532,11 +529,6 @@ impl FftM2l {
         ifft3_inplace(&mut acc, m, &self.plan).expect("inverse fft");
         self.coords.iter().map(|&(i, j, k)| acc[i * m * m + j * m + k].re).collect()
     }
-
-    /// A zeroed frequency-domain accumulator.
-    pub fn new_accumulator(&self) -> Vec<Complex> {
-        vec![Complex::ZERO; self.grid_len()]
-    }
 }
 
 #[cfg(test)]
@@ -573,7 +565,7 @@ mod tests {
             let dense = ops.m2l(level, off).expect("dense twin exists");
             let mut expected = vec![0.0; ns];
             dense.apply_into(&densities, &mut expected);
-            let mut acc = fft.new_accumulator();
+            let mut acc = vec![Complex::ZERO; fft.grid_len()];
             assert!(fft.accumulate(level, off, &src_spec, &mut acc));
             let got = fft.finish(acc);
             for (g, e) in got.iter().zip(&expected) {
@@ -600,14 +592,14 @@ mod tests {
         let s1 = fft.source_spectrum(&d1);
         let s2 = fft.source_spectrum(&d2);
         // Two sources accumulated into one grid == sum of individual runs.
-        let mut acc = fft.new_accumulator();
+        let mut acc = vec![Complex::ZERO; fft.grid_len()];
         fft.accumulate(level, off, &s1, &mut acc);
         fft.accumulate(level, off, &s2, &mut acc);
         let combined = fft.finish(acc);
-        let mut acc1 = fft.new_accumulator();
+        let mut acc1 = vec![Complex::ZERO; fft.grid_len()];
         fft.accumulate(level, off, &s1, &mut acc1);
         let r1 = fft.finish(acc1);
-        let mut acc2 = fft.new_accumulator();
+        let mut acc2 = vec![Complex::ZERO; fft.grid_len()];
         fft.accumulate(level, off, &s2, &mut acc2);
         let r2 = fft.finish(acc2);
         for i in 0..ns {
@@ -655,7 +647,7 @@ mod tests {
 
         // finish_acc_into accumulates exactly finish()'s values.
         let &(level, off) = fft.keys.first().expect("non-empty");
-        let mut acc = fft.new_accumulator();
+        let mut acc = vec![Complex::ZERO; fft.grid_len()];
         assert!(fft.accumulate(level, off, &alloc, &mut acc));
         let expected = fft.finish(acc.clone());
         let mut out: Vec<f64> = (0..ns).map(|i| i as f64).collect();
@@ -733,7 +725,7 @@ mod tests {
         assert!(fft.accumulate_split(level, off, &r2, &i2, &mut acc_re, &mut acc_im));
         let mut got = vec![0.0; ns];
         fft.finish_split_acc_into(&acc_re, &acc_im, &mut scratch, &mut got);
-        let mut acc = fft.new_accumulator();
+        let mut acc = vec![Complex::ZERO; fft.grid_len()];
         assert!(fft.accumulate(level, off, &f1, &mut acc));
         assert!(fft.accumulate(level, off, &f2, &mut acc));
         let expected = fft.finish(acc);
@@ -772,7 +764,7 @@ mod tests {
         let tree = small_tree(3);
         let fft = FftM2l::build(&kernel, &tree, 4);
         let src = fft.source_spectrum(&vec![0.0; crate::surface::surface_point_count(4)]);
-        let mut acc = fft.new_accumulator();
+        let mut acc = vec![Complex::ZERO; fft.grid_len()];
         assert!(!fft.accumulate(7, (9, 9, 9), &src, &mut acc));
     }
 
@@ -795,7 +787,7 @@ mod tests {
             }
         }
         // At most 7³ − 3³ = 316 offsets per level exist.
-        assert!(fft.spectrum_count() <= 316 * (tree.depth() as usize + 1));
+        assert!(fft.spectra.len() <= 316 * (tree.depth() as usize + 1));
     }
 
     #[test]

@@ -33,6 +33,14 @@
 //!   cache, so its counters depend on nothing another phase did;
 //! * the other phases run the same code [`profile_shape`] runs.
 //!
+//! The phases a call profiles run on the pool ([`compat::par`]), each
+//! on a cache simulator of its own.  The counters are those of one
+//! simulator flushed before each phase, in any order: a flush empties
+//! both levels and keeps only the round-robin cursor that deals a line's
+//! sectors to L2 slices and DRAM sub-partitions, and that cursor moves
+//! by whole 4-sector lines, so it stands at 0 mod 4 when a phase starts,
+//! as in a fresh simulator.
+//!
 //! Memory-path modeling follows Kepler's actual load paths:
 //!
 //! * U-phase point data is read through the read-only (`__ldg`) path and
@@ -48,6 +56,7 @@ use crate::lists::{v_offset_code, InteractionLists, V_OFFSET_CODES};
 use crate::surface::surface_point_count;
 use crate::tree::Octree;
 use crate::Phase;
+use compat::par::par_map_vec;
 use gpu_counters::{derive_op_vector, CacheSim, CounterEvent, CounterSet};
 use tk1_sim::{KernelProfile, OpVector};
 
@@ -265,7 +274,8 @@ pub fn profile_shape(
 }
 
 /// [`profile_shape`], with the V phase's counters taken from `kept_v`
-/// instead of profiled when given.
+/// instead of profiled when given.  The phases left to profile run on
+/// the pool, each on a cache simulator of its own (see the module docs).
 fn profile_phases(
     tree: &Octree,
     lists: &InteractionLists,
@@ -276,11 +286,11 @@ fn profile_phases(
 ) -> FmmProfile {
     let shape = Shape { tree, lists, ns: surface_point_count(p) as u64 };
     let depth = tree.depth() as u32;
-    let mut cache = CacheSim::tegra_k1();
-
-    let phases = Phase::ALL.map(|phase| {
-        let counters = kept_v.take_if(|_| phase == Phase::V).unwrap_or_else(|| {
-            cache.flush();
+    // One pool item per phase, V carrying its kept counters if any.
+    let items = Phase::ALL.map(|phase| (phase, kept_v.take_if(|_| phase == Phase::V)));
+    let mut profiled = par_map_vec(items.into(), &|(phase, kept)| {
+        kept.unwrap_or_else(|| {
+            let mut cache = CacheSim::tegra_k1();
             let counters = CounterSet::new();
             match phase {
                 Phase::Up => profile_up(&shape, cost, &mut cache, &counters),
@@ -291,7 +301,11 @@ fn profile_phases(
                 Phase::Down => profile_down(&shape, cost, &mut cache, &counters),
             }
             counters
-        });
+        })
+    });
+
+    let phases = Phase::ALL.map(|phase| {
+        let counters = std::mem::take(&mut profiled[phase as usize]);
         let launches = match phase {
             Phase::Up | Phase::Down => depth + 1,
             Phase::V => depth.max(2) - 1,
@@ -747,30 +761,52 @@ mod tests {
         h
     }
 
+    /// The point draw of the service's FMM lowering at `n`, `q`, `seed`.
+    fn lowering_draw(n: usize, q: usize, seed: u64) -> Vec<[f64; 3]> {
+        let mut rng = StdRng::seed_from_u64(seed ^ (n as u64).rotate_left(13) ^ q as u64);
+        (0..n).map(|_| [rng.random(), rng.random(), rng.random()]).collect()
+    }
+
     #[test]
     fn counter_digests_match_their_recorded_values() {
         // Recorded from the per-sector cache simulator and the hashed
-        // V-phase bookkeeping the current pass replaced; every counter
-        // feeds the energy model, the golden suite and the BENCH files.
+        // V-phase bookkeeping the current pass replaced, and (the
+        // lowering case) from the serial pass; every counter feeds the
+        // energy model, the golden suite and the BENCH files.  The
+        // phases run on the pool, so the digests must hold at every
+        // pool width.  The width is process-global: this is the only
+        // test in the module that sets it.
         use crate::distributions::{plummer, uniform_cube};
         let cases = [
             (uniform_cube(3000, 1), 32, M2lMethod::Fft, 0xad45c0a37caa55f5),
             (uniform_cube(1024, 2), 8, M2lMethod::Fft, 0x5d30572dbe4e92e5),
             (plummer(4000, 0.05, 3), 32, M2lMethod::Fft, 0x5452bf2c9fa870a5),
             (uniform_cube(2000, 4), 32, M2lMethod::Dense, 0x5795cc3759a03fc7),
+            (lowering_draw(1024, 8, 0x10E5), 8, M2lMethod::Fft, 0x17e538e4894ca3e3),
         ];
-        for (pts, q, method, recorded) in cases {
-            let tree = Octree::build(&pts, &vec![1.0; pts.len()], q);
-            let lists = InteractionLists::build(&tree);
-            let prof = profile_shape(&tree, &lists, 4, method, &CostModel::default());
-            assert_eq!(
-                counter_digest(&prof),
-                recorded,
-                "n={} q={q} {method:?}: {:#018x}",
-                pts.len(),
-                counter_digest(&prof)
-            );
+        let shapes: Vec<_> = cases
+            .into_iter()
+            .map(|(pts, q, method, recorded)| {
+                let tree = Octree::build(&pts, &vec![1.0; pts.len()], q);
+                let lists = InteractionLists::build(&tree);
+                (tree, lists, method, recorded)
+            })
+            .collect();
+        for threads in [1usize, 2, 4, 8] {
+            compat::par::set_thread_count(Some(threads));
+            for (tree, lists, method, recorded) in &shapes {
+                let prof = profile_shape(tree, lists, 4, *method, &CostModel::default());
+                assert_eq!(
+                    counter_digest(&prof),
+                    *recorded,
+                    "{threads} threads, n={} q={} {method:?}: {:#018x}",
+                    tree.points.len(),
+                    tree.max_leaf_points,
+                    counter_digest(&prof)
+                );
+            }
         }
+        compat::par::set_thread_count(None);
     }
 
     #[test]

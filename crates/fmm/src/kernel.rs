@@ -87,6 +87,12 @@ pub trait Kernel: Sync {
     /// `[f64; LANES]` accumulator per target fed by whole lane groups
     /// plus a scalar tail, reduced in a fixed order so the override is
     /// deterministic for any caller blocking.
+    ///
+    /// Both forms start each target's sum from `+0.0`, and under
+    /// round-to-nearest `+0.0 + x` is `x` for every `x` but `−0.0`, which
+    /// such a sum never is (`x + (−x)` is `+0.0`).  So the value added
+    /// into a zeroed slot is exactly the value added onto any other: the
+    /// step memo stores it and adds it later with the same bits.
     fn p2p_soa(&self, targets: &[[f64; 3]], sources: SoaView<'_>, out: &mut [f64]) {
         debug_assert_eq!(targets.len(), out.len());
         for (i, &t) in targets.iter().enumerate() {

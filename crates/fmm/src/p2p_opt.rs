@@ -17,7 +17,7 @@
 //!   lanes.  Every arithmetic chain is a straight per-lane recurrence,
 //!   so the autovectorizer emits packed `sqrt`/`div` instead of scalar
 //!   chains.  The final reduction is the fixed pairwise tree of
-//!   [`lane_sum`], which makes the result a pure function of the source
+//!   `lane_sum`, which makes the result a pure function of the source
 //!   order — bitwise reproducible for any target blocking, thread
 //!   count, or call-site split (the property tests pin this against a
 //!   scalar lane-order reference).

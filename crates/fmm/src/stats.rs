@@ -8,7 +8,8 @@
 use crate::lists::InteractionLists;
 use crate::tree::Octree;
 
-/// Min/mean/max summary of an integer quantity.
+/// Min/mean/max summary of an integer quantity.  Public because it types
+/// three public fields of [`TreeStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMeanMax {
     /// Minimum.
@@ -96,7 +97,7 @@ impl TreeStats {
     }
 
     /// Direct interactions per point — the `O(Q)` factor of the U phase.
-    pub fn direct_per_point(&self) -> f64 {
+    fn direct_per_point(&self) -> f64 {
         self.direct_interactions as f64 / self.points.max(1) as f64
     }
 

@@ -74,8 +74,6 @@ pub fn surface_points(
 pub struct SurfaceTemplate {
     /// Surface order.
     p: usize,
-    /// Radius factor baked into the unit points.
-    radius_factor: f64,
     /// Surface points of the unit box.
     unit: Vec<[f64; 3]>,
 }
@@ -83,7 +81,7 @@ pub struct SurfaceTemplate {
 impl SurfaceTemplate {
     /// Builds the template for surface order `p` and `radius_factor`.
     pub fn new(p: usize, radius_factor: f64) -> Self {
-        SurfaceTemplate { p, radius_factor, unit: surface_points(p, [0.0; 3], 1.0, radius_factor) }
+        SurfaceTemplate { p, unit: surface_points(p, [0.0; 3], 1.0, radius_factor) }
     }
 
     /// Number of surface points.
@@ -99,11 +97,6 @@ impl SurfaceTemplate {
     /// The surface order this template was built for.
     pub fn order(&self) -> usize {
         self.p
-    }
-
-    /// The radius factor this template was built for.
-    pub fn radius_factor(&self) -> f64 {
-        self.radius_factor
     }
 
     /// Writes the surface points of the box `(center, half_width)` into

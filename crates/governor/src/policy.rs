@@ -324,7 +324,7 @@ pub struct PhasePlan {
 /// rounds, starting from `start`.
 ///
 /// This is the same Viterbi pass [`PerPhaseModel`] runs inside the
-/// governor loop ([`plan_stages`]), exposed as a pure function so the
+/// governor loop (`plan_stages`), exposed as a pure function so the
 /// serving layer can answer plan requests without standing up a
 /// [`crate::GovernorRuntime`].  Deterministic: ties resolve to the
 /// lowest candidate index.  Empty `kernels` or `candidates` yield an
@@ -415,7 +415,7 @@ fn argmin_setting(ctx: &PhaseContext<'_>, mut score: impl FnMut(Setting) -> f64)
 }
 
 /// The fitted model applied per phase instead of per run: one Viterbi
-/// plan over the whole phase sequence ([`plan_stages`]), minimizing
+/// plan over the whole phase sequence (`plan_stages`), minimizing
 /// total predicted energy with transition costs on every edge.
 #[derive(Debug, Clone, Default)]
 pub struct PerPhaseModel {
@@ -457,7 +457,7 @@ impl Policy for PerPhaseModel {
 /// weighted estimate of each phase's measured/predicted energy ratio
 /// scales the model's prediction, correcting phase-specific model bias
 /// from live `powermon` measurements.  Each phase boundary re-plans
-/// the *remaining* horizon ([`plan_stages`] from the currently-latched
+/// the *remaining* horizon (`plan_stages` from the currently-latched
 /// point) under the updated biases — receding-horizon control.
 ///
 /// Switching is damped two ways so noisy feedback and latch-failure

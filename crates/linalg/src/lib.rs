@@ -14,7 +14,7 @@
 //! * [`cholesky`] — Cholesky factorization for symmetric positive-definite
 //!   systems.
 //! * [`svd`] — one-sided Jacobi singular value decomposition.
-//! * [`nnls`] — the Lawson–Hanson active-set NNLS algorithm.
+//! * [`nnls`](mod@nnls) — the Lawson–Hanson active-set NNLS algorithm.
 //! * [`pinv`] — Tikhonov-regularized pseudo-inverse built on the SVD.
 //!
 //! All routines are deterministic and allocation-conscious; factorizations

@@ -4,7 +4,7 @@
 //! reflectors) and `R` upper-triangular.  Solving `min ||A x - b||₂` then
 //! reduces to applying the reflectors to `b` and back-substituting through
 //! `R`.  This is the workhorse behind both [`lstsq`] and the passive-set
-//! solves inside [`crate::nnls`].
+//! solves inside [`crate::nnls`](fn@crate::nnls).
 
 #![allow(clippy::needless_range_loop)] // factorization loops index the packed QR and the rhs together
 use crate::{LinalgError, Matrix, Result};

@@ -215,7 +215,7 @@ impl DynamicOctree {
     /// Panics if the inputs are empty or of mismatched length (the
     /// underlying builder's contract).
     pub fn new(points: &[[f64; 3]], densities: &[f64], cfg: DynamicConfig) -> Self {
-        let plan = FmmPlan::new(points, densities, cfg.q, cfg.p, cfg.method);
+        let plan = armed_plan(points, densities, cfg);
         let mut lo = [f64::INFINITY; 3];
         let mut hi = [f64::NEG_INFINITY; 3];
         for p in points {
@@ -528,12 +528,20 @@ impl DynamicOctree {
 
     /// Full rebuild fallback: a fresh plan from the moved positions.
     fn rebuild(&mut self, moved: usize, migrants: usize, reason: RebuildReason) -> UpdateOutcome {
-        self.plan =
-            FmmPlan::new(&self.positions, &self.densities, self.cfg.q, self.cfg.p, self.cfg.method);
+        self.plan = armed_plan(&self.positions, &self.densities, self.cfg);
         self.point_leaf = point_leaf_of(&self.plan);
         self.stats.rebuilds += 1;
         UpdateOutcome::Rebuilt { moved, migrants, reason }
     }
+}
+
+/// A plan over `points` with its step memo armed: the maintained plan is
+/// re-evaluated after every step, and most steps leave most leaves'
+/// points untouched (see `FmmPlan::arm_step_memo`).
+fn armed_plan(points: &[[f64; 3]], densities: &[f64], cfg: DynamicConfig) -> FmmPlan {
+    let mut plan = FmmPlan::new(points, densities, cfg.q, cfg.p, cfg.method);
+    plan.arm_step_memo();
+    plan
 }
 
 /// `point_leaf[original index]` = leaf node index, from the slabs.

@@ -35,6 +35,12 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> cargo doc --offline --no-deps (rustdoc warnings are errors)"
+# Every intra-doc link must resolve to one public item: a broken link,
+# an ambiguous name (`mod@`/`fn@`/`macro@` disambiguate) or public docs
+# linking a private item fail the stage.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

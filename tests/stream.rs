@@ -160,3 +160,70 @@ fn memoized_profiles_equal_fresh_ones_over_a_drift_cycle() {
     assert_eq!(stats.rebuilds, 1, "{stats:?}");
     assert!(stats.in_place > 0 && stats.migrants > 0, "{stats:?}");
 }
+
+/// Bit equality of two potential vectors, with the first differing index.
+fn assert_same_bits(got: &[f64], want: &[f64], at: &str) {
+    assert_eq!(got.len(), want.len(), "{at}");
+    if let Some(i) = got.iter().zip(want).position(|(a, b)| a.to_bits() != b.to_bits()) {
+        panic!("{at}: potential {i} is {} where a fresh plan gives {}", got[i], want[i]);
+    }
+}
+
+/// The maintained plan's step memo (armed by `DynamicOctree`) reuses the
+/// U-list partials, leaf multipoles and V spectra of every leaf whose
+/// points a step left bit for bit unchanged.  At the `stream_drift`
+/// benchmark's settings (n = 1536, q = 48, churn 0.008, steps of up to
+/// 3%), every step's evaluation of the maintained plan must equal a
+/// from-scratch `FmmPlan::new` at the same positions and densities, bit
+/// for bit, over a full 500-step cycle, a forced rebuild and a few steps
+/// of the rebuilt plan.  Along the way, every 50th step also evaluates
+/// with gradients (which bypass the memo), and one step evaluates from
+/// two threads at once (a thread that finds the memo taken evaluates
+/// without it).  An unoptimized build runs the cycle's first 6 steps,
+/// then the rebuild.
+#[test]
+fn step_memo_evaluations_equal_fresh_plans_over_a_drift_cycle() {
+    let (points, densities) = cloud(1536, 0xD21F7);
+    let cfg = DynamicConfig { q: 48, ..DynamicConfig::default() };
+    let mut dt = DynamicOctree::new(&points, &densities, cfg);
+    let drift = MotionModel { seed: 0x3071_0AE2, churn: 0.008, step_frac: 0.03 };
+    let violent = MotionModel { seed: 0x3071_0AE2, churn: 0.9, step_frac: 0.5 };
+    let ev = FmmEvaluator::new();
+    let cycle = if cfg!(debug_assertions) { 6 } else { 500 };
+    let concurrent_step = cycle / 2 + 1;
+    for step in 0..cycle + 3 {
+        let outcome = dt.advance(if step == cycle { &violent } else { &drift });
+        if step == cycle {
+            assert!(matches!(outcome, UpdateOutcome::Rebuilt { .. }), "{outcome:?}");
+        }
+        let fresh =
+            ev.evaluate(&FmmPlan::new(dt.positions(), dt.densities(), cfg.q, cfg.p, cfg.method));
+        let at = format!("step {step} ({outcome:?})");
+        if step == concurrent_step {
+            let start = std::sync::Barrier::new(2);
+            let both: Vec<Vec<f64>> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            ev.evaluate(dt.plan())
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().expect("evaluation thread")).collect()
+            });
+            for (k, got) in both.iter().enumerate() {
+                assert_same_bits(got, &fresh, &format!("{at}, thread {k}"));
+            }
+        }
+        if step % 50 == 0 {
+            let (pot, grad) = ev.evaluate_with_gradient(dt.plan());
+            assert_same_bits(&pot, &fresh, &format!("{at}, with gradients"));
+            assert_eq!(grad.len(), fresh.len());
+        }
+        assert_same_bits(&dt.evaluate(), &fresh, &at);
+    }
+    let stats = dt.stats();
+    assert_eq!(stats.rebuilds, 1, "{stats:?}");
+    assert!(stats.in_place > 0 && stats.migrants > 0, "{stats:?}");
+}
